@@ -102,9 +102,8 @@ def sweep(fn, points, seeds: int = 3, base_seed: int = 0,
     any worker count; ``fn`` must be picklable (a module-level function)
     and pure per trial.
 
-    For partitioning a sweep across *hosts* (not just one process pool)
-    see :func:`sweep_shard` / :func:`merge_sweep_shards`; Scenario-based
-    sweeps should use :mod:`repro.api.dispatch`, whose manifests also
+    To partition a sweep across *hosts*, express it as Scenario batches
+    and shard them with :mod:`repro.api.dispatch`, whose manifests
     round-trip through JSON files.
     """
     out: dict = {point: ExperimentResult(label=str(point)) for point in points}
@@ -126,96 +125,3 @@ def sweep(fn, points, seeds: int = 3, base_seed: int = 0,
             result.add(value)
     return out
 
-
-# -- multi-host partitioning ------------------------------------------------
-#
-# The same contract that lets ``workers=N`` shard (point, trial) pairs over
-# a process pool lets a whole sweep be partitioned across hosts: every work
-# unit is seeded only by (base_seed, point digest, trial index), so *where*
-# it runs cannot change its value.  ``plan_sweep_shards`` fixes a
-# deterministic, digest-ordered assignment; each host runs its stripe with
-# ``sweep_shard`` and the parts reassemble with ``merge_sweep_shards`` into
-# exactly the serial ``sweep`` output (same values in the same trial order).
-
-
-def _unique_points(points) -> list:
-    """Input points with duplicates collapsed, in first-seen order (the
-    same normalization ``sweep`` applies via its dict keys)."""
-    return list(dict.fromkeys(points))
-
-
-def plan_sweep_shards(points, seeds: int, n_shards: int) -> list:
-    """Deterministic partition of the ``(point, trial)`` work units.
-
-    Units are ordered by ``(point digest, point index, trial index)`` and
-    striped round-robin, so the plan depends only on the sweep content.
-    Returns one list of ``(point_index, trial_index)`` pairs per shard
-    (indices into the duplicate-collapsed point list).
-    """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    unique = _unique_points(points)
-    order = sorted(
-        (point_digest(point), pi, ti)
-        for pi, point in enumerate(unique)
-        for ti in range(seeds)
-    )
-    units = [(pi, ti) for _, pi, ti in order]
-    return [units[i::n_shards] for i in range(n_shards)]
-
-
-def sweep_shard(fn, points, shard_index: int, n_shards: int,
-                seeds: int = 3, base_seed: int = 0,
-                workers: int | None = None) -> dict:
-    """Run one shard of the :func:`plan_sweep_shards` partition.
-
-    Returns ``{(point_index, trial_index): value}`` -- the partial results
-    :func:`merge_sweep_shards` reassembles.  Within the shard, ``workers``
-    fans the units over a process pool exactly like :func:`sweep`.
-    """
-    plan = plan_sweep_shards(points, seeds, n_shards)
-    if not 0 <= shard_index < n_shards:
-        raise ValueError(
-            f"shard_index must satisfy 0 <= index < {n_shards}, "
-            f"got {shard_index}")
-    unique = _unique_points(points)
-    units = plan[shard_index]
-    shards = [(fn, unique[pi], base_seed, seeds, ti) for pi, ti in units]
-    if workers is not None and workers > 1 and len(shards) > 1:
-        chunksize = max(1, len(shards) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(_run_shard, shards, chunksize=chunksize))
-    else:
-        values = [_run_shard(shard) for shard in shards]
-    return dict(zip(units, values))
-
-
-def merge_sweep_shards(points, parts, seeds: int = 3) -> dict:
-    """Reassemble :func:`sweep_shard` outputs into the serial sweep result.
-
-    ``parts`` is an iterable of the per-shard dicts, in any order.  The
-    merged ``{point: ExperimentResult}`` is identical to
-    ``sweep(fn, points, seeds, base_seed)`` -- including the order of each
-    result's ``values`` list.  Raises ``ValueError`` when the parts do not
-    cover every ``(point, trial)`` unit exactly once.
-    """
-    unique = _unique_points(points)
-    combined: dict = {}
-    for part in parts:
-        for unit, value in part.items():
-            if unit in combined:
-                raise ValueError(
-                    f"work unit {unit} appears in more than one shard")
-            combined[unit] = value
-    expected = {(pi, ti) for pi in range(len(unique)) for ti in range(seeds)}
-    missing = sorted(expected - set(combined))
-    extra = sorted(set(combined) - expected)
-    if missing or extra:
-        raise ValueError(
-            f"shard parts do not tile the sweep: missing {missing or 'none'}"
-            f", unexpected {extra or 'none'}")
-    out = {point: ExperimentResult(label=str(point)) for point in unique}
-    for pi, point in enumerate(unique):
-        for ti in range(seeds):
-            out[point].add(combined[(pi, ti)])
-    return out

@@ -316,22 +316,31 @@ def _open_cache(cache, cache_dir) -> tuple:
     return mode, ResultCache(cache_dir)
 
 
-def _execute(scenario: Scenario, compute_bound: bool) -> RunReport:
-    """The uncached core of :func:`run`."""
-    t0 = time.perf_counter()
+def _materialize(scenario: Scenario) -> tuple:
+    """``(entry, network, requests)`` of ``scenario``, after the
+    capability check (:class:`ScenarioError` when it cannot run)."""
     entry = ALGORITHMS.get(scenario.algorithm.name)
     network = scenario.network.build()
     reason = unavailable_reason(scenario, network)
     if reason is not None:
         raise ScenarioError(
             f"{scenario.algorithm.name!r} on {scenario.network}: {reason}")
-    params = scenario.algorithm.kwargs()
     _, requests = scenario.build_instance(network)
-    t1 = time.perf_counter()
-    result = entry.fn(network, requests, scenario.horizon,
-                      rng=scenario.rngs()[1], engine=scenario.engine,
-                      **params)
-    engine_time = time.perf_counter() - t1
+    return entry, network, requests
+
+
+def _report(scenario: Scenario, network, requests, result,
+            compute_bound: bool, engine_time: float,
+            elapsed: float) -> RunReport:
+    """Measure ``result`` against the offline bound: the one place a
+    :class:`RunReport` is assembled.
+
+    ``elapsed`` is the time already spent on this scenario alone (its
+    build plus its engine time); ``wall_time`` adds the bound and the
+    assembly on top, so the reports of one batch never count the same
+    second twice.
+    """
+    t0 = time.perf_counter()
     if compute_bound:
         bound = _instance_bound(scenario, network, requests)
     else:
@@ -370,10 +379,23 @@ def _execute(scenario: Scenario, compute_bound: bool) -> RunReport:
         latency_max=latency_max,
         steps=result.stats.steps,
         engine=engine,
-        wall_time=time.perf_counter() - t0,
+        wall_time=elapsed + time.perf_counter() - t0,
         engine_time=engine_time,
         meta=meta,
     )
+
+
+def _execute(scenario: Scenario, compute_bound: bool) -> RunReport:
+    """The uncached core of :func:`run`."""
+    t0 = time.perf_counter()
+    entry, network, requests = _materialize(scenario)
+    t1 = time.perf_counter()
+    result = entry.fn(network, requests, scenario.horizon,
+                      rng=scenario.rngs()[1], engine=scenario.engine,
+                      **scenario.algorithm.kwargs())
+    t2 = time.perf_counter()
+    return _report(scenario, network, requests, result, compute_bound,
+                   engine_time=t2 - t1, elapsed=t2 - t0)
 
 
 def run(scenario: Scenario, *, cache: str | None = None,
@@ -476,58 +498,27 @@ def _execute_stacked(scenarios, compute_bound: bool) -> list:
     violations still raise :class:`ScenarioError` exactly like
     :func:`_execute`.  ``engine_time`` is the stacked wall time divided
     evenly across the group (per-scenario attribution inside one fused
-    array program is not meaningful).
+    array program is not meaningful); ``wall_time`` is that share plus
+    the scenario's own build, bound and assembly time.
     """
     from repro.network.fast_batch_engine import FastBatchEngine
 
-    t0 = time.perf_counter()
-    jobs = []
+    jobs, builds = [], []
     for scenario in scenarios:
-        entry = ALGORITHMS.get(scenario.algorithm.name)
-        network = scenario.network.build()
-        reason = unavailable_reason(scenario, network)
-        if reason is not None:
-            raise ScenarioError(
-                f"{scenario.algorithm.name!r} on {scenario.network}: {reason}")
+        t0 = time.perf_counter()
+        entry, network, requests = _materialize(scenario)
         policy = entry.batch_policy(scenario.algorithm.kwargs())
-        _, requests = scenario.build_instance(network)
         jobs.append((network, policy, requests, scenario.horizon))
+        builds.append(time.perf_counter() - t0)
     t1 = time.perf_counter()
-    stacked = FastBatchEngine(jobs).run_many()
-    engine_time = (time.perf_counter() - t1) / len(jobs)
-
-    reports = []
-    for scenario, (network, _policy, requests, _h), result in zip(
-            scenarios, jobs, stacked):
-        meta = {"kernel": kernel.active_kernel()}
-        if compute_bound:
-            bound = _instance_bound(scenario, network, requests)
-            meta["bound_method"] = _BOUND_IO[3]  # parity with _execute
-        else:
-            bound = math.nan
-        arrivals = {r.rid: r.arrival for r in requests}
-        latencies = [t - arrivals[rid]
-                     for rid, t in result.stats.delivery_times.items()]
-        latency_mean = (float(sum(latencies) / len(latencies))
-                        if latencies else math.nan)
-        latency_max = float(max(latencies)) if latencies else math.nan
-        reports.append(RunReport(
-            scenario=scenario,
-            requests=len(requests),
-            throughput=result.throughput,
-            bound=float(bound),
-            late=result.stats.late,
-            rejected=result.stats.rejected,
-            preempted=result.stats.preempted,
-            latency_mean=latency_mean,
-            latency_max=latency_max,
-            steps=result.stats.steps,
-            engine=result.engine,
-            wall_time=time.perf_counter() - t0,
-            engine_time=engine_time,
-            meta=meta,
-        ))
-    return reports
+    results = FastBatchEngine(jobs).run_many()
+    share = (time.perf_counter() - t1) / len(jobs)
+    return [
+        _report(scenario, network, requests, result, compute_bound,
+                engine_time=share, elapsed=build + share)
+        for scenario, (network, _policy, requests, _horizon), result, build
+        in zip(scenarios, jobs, results, builds)
+    ]
 
 
 class BatchResult(list):

@@ -46,13 +46,19 @@ plus the forwarding ``axis``.  Anything implementing that single call is
 a :class:`VectorPolicy` and runs at array speed.  Three lifts cover the
 rest:
 
-* policies exposing ``fast_priority`` (the greedy family) get the
-  built-in :class:`~repro.network.fast_engine.GreedyVectorPolicy`;
+* policies exposing ``fast_priority`` (the greedy family) are ranked on
+  their named priority's key tuple by
+  :func:`~repro.network.fast_engine.greedy_masks`;
 * :class:`~repro.network.simulator.PlanPolicy` replay is compiled into a
   vector policy over per-packet action tables;
 * any other scalar :class:`~repro.network.simulator.Policy` is lifted by
   :class:`~repro.network.fast_engine.BatchedPolicyAdapter`: one grouped
-  Python call per *node*-step instead of per packet.
+  Python call per *node*-step instead of per packet.  Such policies run
+  alone: they cannot join a stacked batch of several scenarios.
+
+Both array engines run one loop -- the stacked one of
+:mod:`repro.network.fast_batch_engine`, with the fast engine as a stack
+of one scenario -- so every lift holds on both.
 
 The ABI contract (what ``tests/test_differential.py`` fuzz-enforces):
 
@@ -152,7 +158,11 @@ class StepView:
     """
 
     t: int  # current time step
-    network: object  # the Network (dims, buffer_size, capacity, d)
+    #: the stacked network facade of the array loop (``d``,
+    #: ``buffer_size``, ``capacity``, ``togo_array``, ``hops_array``,
+    #: ``edge_capacity``) -- not a :class:`~repro.network.topology.Network`
+    #: -- on every array engine
+    network: object
     requests: tuple  # all requests of the run, in engine order
     index: np.ndarray  # row -> position in ``requests``
     node_id: np.ndarray  # flat row-major node index (Network.node_index)
@@ -162,10 +172,11 @@ class StepView:
     arrival: np.ndarray  # injection times
     deadline: np.ndarray  # deadlines, ``NO_DEADLINE`` when unbounded
     rid: np.ndarray  # unique request ids (the universal tie-break)
-    #: scenario id per row in stacked batch execution (None on the
-    #: per-scenario engines).  Batched views keep ``node_id`` globally
-    #: unique across scenarios, so group-local policies need not read
-    #: this; it exists for policies that want per-scenario context.
+    #: scenario id per row when several scenarios share the stack (None
+    #: when a scenario runs alone).  Stacked views keep ``node_id``
+    #: globally unique across scenarios, so group-local policies need
+    #: not read this; it exists for policies that want per-scenario
+    #: context.
     batch: np.ndarray | None = None
 
     @property

@@ -1,57 +1,49 @@
-"""Stacked batch engine: a whole scenario sweep as one array program.
+"""The Model 1 array loop: any number of scenarios as one array program.
 
-:class:`FastBatchEngine` takes many independent jobs -- each a
-``(network, policy, requests, horizon)`` quadruple with Model 1
-semantics -- and executes them *together*: every per-packet array of
-:class:`~repro.network.fast_engine.FastEngine` grows a batch dimension
-(one scenario id per row), nodes get per-scenario id offsets so no
-contention group ever mixes scenarios, and each global tick resolves the
-decisions of *all* scenarios in one grouped lexsort/scatter pass.  A
-sweep of hundreds of small grids then costs per step what a single
-scenario costs -- numpy call overhead is paid once per tick, not once
-per tick per scenario.
+:func:`_run_stack` is the only array implementation of the Model 1 step
+(Section 2.1).  It executes independent jobs -- each a ``(network,
+policy, requests, horizon)`` quadruple -- *together*: every per-packet
+array carries all jobs' requests, nodes get per-scenario id offsets so
+no contention group ever mixes scenarios, and each global tick resolves
+the decisions of *all* scenarios in one grouped lexsort/scatter pass.
+:class:`FastBatchEngine` runs a whole sweep as one stack (numpy call
+overhead is paid once per tick, not once per tick per scenario);
+:class:`~repro.network.fast_engine.FastEngine` is a stack of one job.
 
 Memory model (padding and masking)
 ----------------------------------
 Jobs are concatenated, not tiled: a row exists per *request*, so memory
 is ``O(total requests x d_max)``.  Coordinate arrays are padded to the
 widest grid dimension ``d_max`` with zeros and the padded dims have side
-1, so padded axes never show distance-to-go and are never forwarded on.
-Per-scenario horizon/liveness masks emulate each scenario's private
-loop: a scenario whose horizon passed (or whose packets drained) stops
-accumulating steps while the others keep ticking.  The stacking wins
-when many small scenarios share the clock; one huge grid gains nothing
-(there is nothing to amortize), and adapter-lifted scalar policies
-cannot join at all (see :meth:`FastBatchEngine.unsupported_reason`).
+1, so padded axes never show distance-to-go and have no outgoing edges.
+Each packet carries its global node id, advanced along a per-(node,
+axis) head table built once per run.  A scenario whose horizon passed
+freezes its stranded packets while the others keep ticking, and its
+step count is recovered from when its last packet left -- where its own
+loop would have stopped.
 
 Policy multiplexing
 -------------------
-Decisions reuse the PR-4 ``StepView -> VectorDecision`` ABI unchanged.
-Rows are grouped per step by *program*:
+Rows are grouped per step by decision *program*:
 
 * the greedy family -- *every* greedy job, whatever its
-  ``fast_priority``, merges into a single stacked program
-  (:class:`_StackedGreedyProgram`) that selects each row's sort keys by
-  a per-request priority code; contention groups are scenario-local, so
-  priorities never mix inside a group and the ranks come out exactly as
-  each job's own priority order;
+  ``fast_priority``, merges into one :class:`_StackedGreedyProgram`;
 * native vector policies that declare a ``batch_program`` label (the
   opt-in that their ``decide_vector`` is *group-local*: decisions within
   a node group depend only on that group's rows) merge per label;
-* :class:`~repro.network.simulator.PlanPolicy` replay -- per-job action
-  tables are compiled and concatenated into one position-indexed table,
-  so any number of plan replays is a single program.
+* :class:`~repro.network.simulator.PlanPolicy` replays compile into one
+  position-indexed :class:`_StackedPlanProgram`.
 
-A batched :class:`~repro.network.engine.StepView` carries the batch-id
-column and a stacked network facade whose ``buffer_size``/``capacity``
-are per-row arrays (``d`` is ``d_max``);
-:func:`~repro.network.fast_engine.greedy_masks` accepts both forms, so
-``GreedyVectorPolicy`` and native policies built on it run unmodified.
+A stack of exactly one job also runs what only mixing jobs makes
+unsafe: vector policies without a ``batch_program`` label, policies with
+per-step state (``on_step_begin``), and scalar policies lifted by
+:class:`~repro.network.fast_engine.BatchedPolicyAdapter` -- which cannot
+join a multi-job stack (see :meth:`FastBatchEngine.unsupported_reason`).
 
-Every result is bit-identical to the per-scenario engines' -- identical
-``status`` maps, identical counters, identical step accounting -- which
-is what lets ``run_batch`` stack scenarios freely without perturbing the
-result cache (fuzz-enforced by ``tests/test_differential.py``).
+Every result is bit-identical to the reference engine's for its job --
+identical ``status`` maps, counters and step accounting -- which is what
+lets ``run_batch`` stack scenarios freely without perturbing the result
+cache (fuzz-enforced by ``tests/test_differential.py``).
 """
 
 from __future__ import annotations
@@ -59,7 +51,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.network import kernel
-from repro.network.engine import StepView
+from repro.network.engine import StepView, VectorDecision
 from repro.network.fast_engine import (
     _DELIVERED,
     _INJECTED,
@@ -67,30 +59,33 @@ from repro.network.fast_engine import (
     _PREEMPTED,
     _REJECTED,
     _finalize_result,
-    _PlanVectorPolicy,
+    _lift,
+    _priority_keys,
     _request_arrays,
+    BatchedPolicyAdapter,
     FastEngine,
     greedy_masks,
 )
-from repro.network.simulator import PlanPolicy, Policy, SimulationResult
+from repro.network.simulator import Policy
 from repro.network.stats import NetworkStats
 from repro.network.trace import TraceRecorder
 from repro.util.errors import CapacityError, ValidationError
 
 
 class _StackedNetworkView:
-    """The ``view.network`` of a batched step: per-row capacities.
+    """The ``view.network`` of a stacked step.
 
     ``d`` is the widest grid dimension of the stack; ``buffer_size`` and
-    ``capacity`` are arrays aligned with the view's rows (every row
-    carries its scenario's ``B``/``c``).  ``dims``/``wrap`` are the
-    per-row ``(k, d)`` side lengths and wraparound flags (``wrap`` is
-    ``None`` when no stacked scenario wraps), and ``cap_flat`` the
-    global per-``(node, axis)`` capacity table (``None`` when every
-    stacked network is capacity-uniform).  Batch programs must read the
-    network only through these attributes and the geometry methods
-    below, which mirror :class:`~repro.network.topology.Network`'s --
-    :func:`greedy_masks` does.
+    ``capacity`` are scalars when every stacked network shares them and
+    arrays aligned with the view's rows otherwise.  ``dims``/``wrap``
+    are the side lengths and wraparound flags, broadcastable against the
+    view's ``(k, d)`` coordinates (both ``None`` when no stacked
+    scenario wraps), and ``cap_flat`` the global per-``(node, axis)``
+    capacity table (``None`` when the stack shares one uniform ``c``).
+    Decision programs must read the network only through these
+    attributes and the geometry methods below, which mirror
+    :class:`~repro.network.topology.Network`'s -- :func:`greedy_masks`
+    does.
     """
 
     __slots__ = ("d", "buffer_size", "capacity", "dims", "wrap", "cap_flat")
@@ -118,19 +113,60 @@ class _StackedNetworkView:
 
     def edge_capacity(self, node_id, axis):
         if self.cap_flat is None:
-            return self.capacity  # per-row c of each row's scenario
+            return self.capacity
         return self.cap_flat[node_id * self.d + axis]
 
 
-class _StackedPlanProgram(_PlanVectorPolicy):
-    """Concatenation of per-job compiled plan tables (global positions)."""
+class _StackedPlanProgram:
+    """Plan replay on the decision ABI: per-packet action tables.
 
-    def __init__(self, d, t0, length, off, codes):
+    Compiled once per run from the ``(rid, t)`` action maps of every
+    :class:`~repro.network.simulator.PlanPolicy` job of the stack, each
+    covering its own slice of request positions: the packet at position
+    ``i`` performs ``codes[offset[i] + (t - t0[i])]`` at time ``t`` when
+    ``0 <= t - t0[i] < length[i]``; code ``axis < d`` forwards, code
+    ``d`` stores, ``-1`` (or no table entry) deletes.
+    """
+
+    def __init__(self, d: int, rid, plans):
+        n = len(rid)
         self._d = d
-        self._t0 = t0
-        self._len = length
-        self._off = off
-        self._codes = codes
+        self._t0 = np.zeros(n, dtype=np.int64)
+        self._len = np.zeros(n, dtype=np.int64)
+        self._off = np.zeros(n, dtype=np.int64)
+        chunks = []
+        pos = 0
+        for policy, rows in plans:  # rows: the job's request positions
+            by_rid: dict = {}
+            for (r, t), action in policy.actions.items():
+                by_rid.setdefault(r, {})[t] = action
+            for i in range(rows.start, rows.stop):
+                acts = by_rid.get(int(rid[i]))
+                if not acts:
+                    continue
+                times = sorted(acts)
+                self._t0[i] = times[0]
+                self._len[i] = times[-1] - times[0] + 1
+                codes = np.full(self._len[i], -1, dtype=np.int64)
+                for t, action in acts.items():
+                    codes[t - times[0]] = d if action[0] == "S" else action[1]
+                self._off[i] = pos
+                pos += len(codes)
+                chunks.append(codes)
+        self._codes = (np.concatenate(chunks) if chunks
+                       else np.empty(0, dtype=np.int64))
+
+    def decide_vector(self, view: StepView) -> VectorDecision:
+        i = view.index
+        rel = view.t - self._t0[i]
+        has = (rel >= 0) & (rel < self._len[i])
+        code = np.full(view.size, -1, dtype=np.int64)
+        if has.any():
+            code[has] = self._codes[self._off[i[has]] + rel[has]]
+        fwd_mask = (code >= 0) & (code < self._d)
+        store_mask = code == self._d
+        return VectorDecision(forward=fwd_mask, axis=np.maximum(code, 0),
+                              store=store_mask)
 
 
 #: per-request priority codes of the merged greedy program
@@ -140,26 +176,33 @@ _GREEDY_CODES = {"fifo": 0, "lifo": 1, "longest": 2, "ntg": 3}
 class _StackedGreedyProgram:
     """Every greedy-family job of a stack as *one* decision program.
 
-    Contention groups are scenario-local (node ids carry per-scenario
-    offsets), so rows of different priorities never meet in a group --
-    selecting each row's sort keys by its job's priority code therefore
-    ranks every group exactly as that job's own
-    :class:`~repro.network.fast_engine.GreedyVectorPolicy` would.  The
-    unified key tuple appends a redundant final ``rid`` key where a
-    priority's own tuple is shorter; within a priority-pure group that is
-    a no-op (the order is already total by then).  One program instead of
-    one per priority keeps the per-tick cost flat in the number of
-    priority families a sweep mixes.
+    When every job shares one priority, rows are ranked on that
+    priority's own key tuple.  A mixed stack selects each row's sort
+    keys by its job's priority code: contention groups are
+    scenario-local (node ids carry per-scenario offsets), so rows of
+    different priorities never meet in a group and every group ranks
+    exactly as under its job's own priority.  The unified key tuple
+    appends a redundant final ``rid`` key where a priority's own tuple
+    is shorter; within a priority-pure group that is a no-op (the order
+    is already total by then).  One program instead of one per priority
+    keeps the per-tick cost flat in the number of priority families a
+    sweep mixes.
     """
 
-    __slots__ = ("_pcode",)
+    __slots__ = ("_priority", "_pcode")
 
-    def __init__(self, pcode):
+    def __init__(self, priority: str, pcode=None):
+        self._priority = priority  # every row's priority (pcode is None)
         self._pcode = pcode  # priority code per global request position
 
     def decide_vector(self, view: StepView):
-        p = self._pcode[view.index]
         arrival, rid = view.arrival, view.rid
+        if self._pcode is None:
+            remaining = view.remaining() \
+                if self._priority in ("longest", "ntg") else None
+            return greedy_masks(view, _priority_keys(
+                self._priority, arrival, rid, remaining))
+        p = self._pcode[view.index]
         remaining = view.remaining()
         # fifo: (arrival, rid) / lifo: (-arrival, -rid)
         # longest: (-remaining, arrival, rid) / ntg: (remaining, arrival, rid)
@@ -178,34 +221,379 @@ def _steps_stateless(policy) -> bool:
     return fn is None or fn is Policy.on_step_begin
 
 
+def _assign_programs(jobs, d, off, cnt, rid):
+    """``(programs, prog_of_job)``: one entry per distinct decision
+    program, and each job's program index.  All plan jobs compile into
+    a single merged program over global request positions, and all
+    greedy-family jobs (any mix of priorities) merge into one
+    :class:`_StackedGreedyProgram` -- the per-tick cost is per
+    *program*, so merging keeps it flat in sweep heterogeneity."""
+    programs: list = []
+    prog_key: dict = {}
+    prog_of_job = np.zeros(len(jobs), dtype=np.int64)
+    merged: dict = {"plan": [], "greedy": []}
+    for b, (network, policy, _requests, _horizon) in enumerate(jobs):
+        kind = _lift(policy)
+        program = None  # plan and greedy jobs are merged below
+        if kind == "native":
+            key = (kind, type(policy), getattr(policy, "batch_program", None))
+            program = policy
+        elif kind == "scalar":  # only a stack of one job gets here
+            key = (kind, b)
+            program = BatchedPolicyAdapter(policy, network)
+        else:
+            key = (kind,)
+            merged[kind].append(b)
+        pid = prog_key.setdefault(key, len(programs))
+        if pid == len(programs):
+            programs.append(program)
+        prog_of_job[b] = pid
+
+    def rows_of(b):
+        return slice(off[b], off[b] + cnt[b])
+
+    if merged["greedy"]:
+        names = [jobs[b][1].fast_priority for b in merged["greedy"]]
+        pcode = None
+        if len(set(names)) > 1:
+            pcode = np.zeros(rid.size, dtype=np.int64)
+            for b, name in zip(merged["greedy"], names):
+                pcode[rows_of(b)] = _GREEDY_CODES[name]
+        programs[prog_key[("greedy",)]] = _StackedGreedyProgram(names[0],
+                                                                pcode)
+    if merged["plan"]:
+        programs[prog_key[("plan",)]] = _StackedPlanProgram(
+            d, rid, [(jobs[b][1], rows_of(b)) for b in merged["plan"]])
+    return programs, prog_of_job
+
+
+def _check_decision(decision, view, head, cap, B, node_job, max_link_j,
+                    max_buf_j):
+    """Validate one program's :class:`VectorDecision` and account the
+    per-scenario load maxima; returns ``(forward, axis, store, heads)``
+    with ``axis``/``heads`` over the forwarded rows only.
+
+    The engine, not the policy, enforces the model: overlapping masks,
+    unknown axes and forwards along a missing edge raise
+    :class:`~repro.util.errors.ValidationError`; link loads above ``c``
+    and buffer loads above ``B`` raise
+    :class:`~repro.util.errors.CapacityError` -- the same contract the
+    reference engine's validator applies to scalar decisions.  Programs
+    are per-scenario, so a contention group never spans programs and
+    per-call accounting is exact.  ``node_job`` maps global node ids to
+    scenarios (``None`` in a stack of one job).
+    """
+    fwd_mask = np.asarray(decision.forward, dtype=bool)
+    store_mask = np.asarray(decision.store, dtype=bool)
+    axis_arr = np.asarray(decision.axis, dtype=np.int64)
+    k, d = view.size, view.network.d
+    if fwd_mask.shape != (k,) or store_mask.shape != (k,) \
+            or axis_arr.shape != (k,):
+        raise ValidationError(
+            f"vector decision shapes {fwd_mask.shape}/{axis_arr.shape}/"
+            f"{store_mask.shape} do not match the step view ({k} rows)"
+        )
+    both = fwd_mask & store_mask
+    if both.any():
+        i = int(np.flatnonzero(both)[0])
+        raise ValidationError(f"packet {int(view.rid[i])} scheduled twice")
+
+    fa = axis_arr[fwd_mask]
+    heads = fa
+    if fa.size:
+        if ((fa < 0) | (fa >= d)).any():
+            raise ValidationError(
+                f"vector decision names an axis outside 0..{d - 1}")
+        edge = view.node_id[fwd_mask] * d + fa
+        heads = head[edge]
+        if (heads < 0).any():
+            i = int(np.flatnonzero(heads < 0)[0])
+            raise ValidationError(
+                f"node {tuple(view.loc[fwd_mask][i])} has no outgoing axis "
+                f"{int(fa[i])}{_scenario(node_job, edge[i] // d)}")
+        _enforce_loads(edge, d, cap, node_job, max_link_j,
+                       "decision forwards {} > c={} on a link")
+    if store_mask.any():
+        _enforce_loads(view.node_id[store_mask], 1, B, node_job, max_buf_j,
+                       "decision stores {} > B={} at a node")
+    return fwd_mask, fa, store_mask, heads
+
+
+def _scenario(node_job, node) -> str:
+    """Error-message suffix naming ``node``'s scenario in a multi-job
+    stack (empty in a stack of one job)."""
+    if node_job is None:
+        return ""
+    return f" (batch scenario {int(node_job[node])})"
+
+
+def _enforce_loads(groups, per_node, limit, node_job, maxima,
+                   message) -> None:
+    """Count rows per contention group, raise
+    :class:`~repro.util.errors.CapacityError` where a count exceeds
+    ``limit`` (a scalar, or a table over group ids), and raise each
+    scenario's recorded maximum.  Group ``g`` sits at node
+    ``g // per_node``."""
+    uniq, counts = np.unique(groups, return_counts=True)
+    limits = limit if np.isscalar(limit) else limit[uniq]
+    over = counts > limits
+    if over.any():
+        i = int(np.flatnonzero(over)[0])
+        raise CapacityError(
+            message.format(int(counts[i]),
+                           int(np.broadcast_to(limits, over.shape)[i]))
+            + _scenario(node_job, uniq[i] // per_node))
+    if node_job is None:
+        maxima[0] = max(maxima[0], counts.max())
+    else:
+        np.maximum.at(maxima, node_job[uniq // per_node], counts)
+
+
+def _run_stack(jobs, engine: str) -> list:
+    """Run ``(network, policy, requests, horizon)`` jobs as one array
+    program; one :class:`~repro.network.simulator.SimulationResult` per
+    job, in job order, labelled ``engine``.
+
+    Policies must already be eligible for the stack (the engine
+    constructors check).  Each job keeps the semantics of its own loop
+    over ``0..horizon``: it stops early once its packets drained and no
+    arrivals are left, and packets still in flight when its horizon ends
+    are preempted.
+    """
+    m = len(jobs)
+    if m == 0:
+        return []
+    d = max(job[0].d for job in jobs)
+
+    # -- per-scenario geometry and capacities -------------------------------
+    dims = np.ones((m, d), dtype=np.int64)
+    wrap = np.zeros((m, d), dtype=bool)
+    n_nodes = np.zeros(m, dtype=np.int64)
+    cnt = np.zeros(m, dtype=np.int64)
+    horizon = np.zeros(m, dtype=np.int64)
+    B_j = np.zeros(m, dtype=np.int64)
+    c_j = np.zeros(m, dtype=np.int64)
+    reqs_all: list = []
+    parts: list = []
+    for b, (network, _policy, requests, h) in enumerate(jobs):
+        reqs = tuple(requests)
+        reqs_all.extend(reqs)
+        cnt[b], horizon[b], n_nodes[b] = len(reqs), int(h), network.n
+        B_j[b], c_j[b] = network.buffer_size, network.capacity
+        dims[b, :network.d] = network.dims
+        wrap[b, :network.d] = network.wrap
+        src, dst, arrival, deadline, rid = _request_arrays(network, reqs)
+        if network.d < d:  # padded axes: coordinate 0 on a side of 1
+            pad = ((0, 0), (0, d - network.d))
+            src, dst = np.pad(src, pad), np.pad(dst, pad)
+        parts.append((src, dst, arrival, deadline, rid))
+    src, dst, arrival, deadline, rid = (
+        np.concatenate(column) for column in zip(*parts))
+    reqs_all = tuple(reqs_all)
+    off = np.concatenate(([0], np.cumsum(cnt)[:-1]))
+    bid = np.repeat(np.arange(m), cnt)
+
+    # global node ids: row-major inside each scenario, offset per scenario;
+    # head[node * d + axis] is the node an edge leads to (-1: no edge)
+    node_off = np.concatenate(([0], np.cumsum(n_nodes)[:-1]))
+    node_job = np.repeat(np.arange(m), n_nodes)
+    strides = np.ones((m, d), dtype=np.int64)
+    strides[:, :-1] = np.cumprod(dims[:, :0:-1], axis=1)[:, ::-1]
+    node = np.arange(node_job.size)[:, None]
+    side, stride = dims[node_job], strides[node_job]
+    coord = ((node[:, 0] - node_off[node_job])[:, None] // stride) % side
+    head = np.where(coord + 1 < side, node + stride,
+                    np.where(wrap[node_job] & (side > 1),
+                             node - coord * stride, -1)).ravel()
+    any_wrap = bool(wrap.any())
+    nid = node_off[bid] + (src * strides[bid]).sum(axis=1)
+    dnid = node_off[bid] + (dst * strides[bid]).sum(axis=1)
+
+    # B and c stay scalars when the whole stack shares them
+    B = int(B_j[0]) if (B_j == B_j[0]).all() else B_j[node_job]
+    c_shared = bool((c_j == c_j[0]).all())
+    link_caps = [b for b, job in enumerate(jobs) if job[0].link_caps]
+    if not link_caps and c_shared:
+        cap = int(c_j[0])
+    else:  # per-(node, axis) table, link_caps overrides included
+        cap = np.repeat(c_j[node_job], d)
+        for b in link_caps:
+            network = jobs[b][0]
+            block = cap[node_off[b] * d:(node_off[b] + network.n) * d]
+            block.reshape(network.n, d)[:, :network.d] = \
+                network.capacity_array().reshape(network.n, network.d)
+
+    programs, prog_of_job = _assign_programs(jobs, d, off, cnt, rid)
+    prog_row = prog_of_job[bid] if len(programs) > 1 else None
+    hooks = [p.on_step_begin for p in programs if not _steps_stateless(p)]
+    job_of = node_job if m > 1 else None
+
+    # -- mutable packet state -----------------------------------------------
+    loc = src.copy()
+    alive = np.zeros(rid.size, dtype=bool)
+    scode = np.zeros(rid.size, dtype=np.int64)  # _PENDING
+    left_t = np.full(rid.size, -1, dtype=np.int64)  # delivery or drop step
+    forwards_j = np.zeros(m, dtype=np.int64)
+    stores_j = np.zeros(m, dtype=np.int64)
+    max_link_j = np.zeros(m, dtype=np.int64)
+    max_buf_j = np.zeros(m, dtype=np.int64)
+
+    def view_of(rows, node_id):
+        job = node_job[node_id] if m > 1 else None
+        geometry = (None, None)
+        if any_wrap:
+            geometry = (dims[0], wrap[0]) if m == 1 \
+                else (dims[job], wrap[job])
+        network = _StackedNetworkView(
+            d, B if np.isscalar(B) else B[node_id],
+            int(c_j[0]) if c_shared else c_j[job], *geometry,
+            None if np.isscalar(cap) else cap)
+        return StepView(
+            t=t, network=network, requests=reqs_all, index=rows,
+            node_id=node_id, loc=loc[rows], src=src[rows], dst=dst[rows],
+            arrival=arrival[rows], deadline=deadline[rows], rid=rid[rows],
+            batch=job,
+        )
+
+    # arrivals past their scenario's horizon are never revealed
+    inj = kernel.injection_order(arrival)
+    inj = inj[arrival[inj] <= horizon[bid[inj]]]
+    first = np.searchsorted(arrival[inj],
+                            np.arange(int(horizon.max()) + 2)).tolist()
+    expiry = np.argsort(horizon, kind="stable").tolist()
+    ends = horizon.tolist()
+    expired = 0
+    last_arrival = int(arrival.max()) if rid.size else -1
+    n_live = 0
+
+    for t in range(int(horizon.max()) + 1):
+        while expired < m and ends[expiry[expired]] < t:
+            # stranded past the horizon: frozen in flight, preempted later
+            b = expiry[expired]
+            rows = slice(off[b], off[b] + cnt[b])
+            n_live -= int(np.count_nonzero(alive[rows]))
+            alive[rows] = False
+            expired += 1
+        if n_live == 0 and t > last_arrival:
+            break
+        for hook in hooks:
+            hook(t)
+
+        # local inputs revealed at time t
+        if first[t + 1] > first[t]:
+            alive[inj[first[t]:first[t + 1]]] = True
+            n_live += first[t + 1] - first[t]
+        if n_live == 0:
+            continue
+        act = np.flatnonzero(alive)
+
+        # deliveries first (Section 2.1)
+        at_dest = nid[act] == dnid[act]
+        done = act[at_dest]
+        if done.size:
+            scode[done] = np.where(t <= deadline[done], _DELIVERED, _LATE)
+            left_t[done] = t
+            alive[done] = False
+            n_live -= done.size
+        rem = act[~at_dest]
+        if rem.size == 0:
+            continue
+
+        node_id = nid[rem]
+        moves = []
+        for pid, program in enumerate(programs):
+            if prog_row is None:
+                rows, ids = rem, node_id
+            else:
+                mine = prog_row[rem] == pid
+                rows, ids = rem[mine], node_id[mine]
+                if rows.size == 0:
+                    continue
+            view = view_of(rows, ids)
+            f, fa, s, heads = _check_decision(
+                program.decide_vector(view), view, head, cap, B, job_of,
+                max_link_j, max_buf_j)
+            moves.append((rows[f], fa, heads, rows[s], rows[~(f | s)]))
+        fwd, fa, heads, stored, dropped = moves[0] if len(moves) == 1 \
+            else (np.concatenate(column) for column in zip(*moves))
+
+        if fwd.size:
+            if any_wrap:
+                # a head below its tail wrapped around to coordinate 0
+                loc[fwd, fa] = np.where(heads < nid[fwd], 0, loc[fwd, fa] + 1)
+            else:
+                loc[fwd, fa] += 1
+            nid[fwd] = heads
+            scode[fwd] = _INJECTED
+            forwards_j += np.bincount(bid[fwd], minlength=m)
+        if stored.size:
+            scode[stored] = _INJECTED
+            stores_j += np.bincount(bid[stored], minlength=m)
+        if dropped.size:
+            scode[dropped] = np.where(arrival[dropped] == t,  # at injection
+                                      _REJECTED, _PREEMPTED)
+            left_t[dropped] = t
+            alive[dropped] = False
+            n_live -= dropped.size
+
+    # -- per-scenario results from the final status codes -------------------
+    codes = np.bincount(bid * 6 + scode, minlength=6 * m).reshape(m, 6)
+    last_left = np.full(m, -1, dtype=np.int64)
+    np.maximum.at(last_left, bid, np.maximum(left_t, arrival))
+    # a scenario's loop ends after its horizon, or once it has drained
+    # with no arrivals left (in-flight packets keep it running)
+    steps = np.where(codes[:, _INJECTED] > 0, horizon + 1,
+                     np.minimum(horizon + 1, last_left + 1))
+    delivered_t = np.where(scode >= _DELIVERED, left_t, -1)
+    results: list = []
+    for b in range(m):
+        stats = NetworkStats(
+            delivered=int(codes[b, _DELIVERED]), late=int(codes[b, _LATE]),
+            rejected=int(codes[b, _REJECTED]),
+            preempted=int(codes[b, _PREEMPTED]),
+            forwards=int(forwards_j[b]), stores=int(stores_j[b]),
+            max_link_load=int(max_link_j[b]),
+            max_buffer_load=int(max_buf_j[b]), steps=int(steps[b]),
+        )
+        rows = slice(off[b], off[b] + cnt[b])
+        results.append(_finalize_result(
+            stats, scode[rows], rid[rows], delivered_t[rows],
+            TraceRecorder(enabled=False), engine=engine))
+    return results
+
+
 class FastBatchEngine:
     """Run many Model 1 jobs as one stacked array program.
 
     ``jobs`` is a sequence of ``(network, policy, requests, horizon)``
     quadruples.  Construction raises
-    :class:`~repro.util.errors.ValidationError` when any job's policy has
-    no batch program (see :meth:`unsupported_reason`); callers wanting
-    graceful fallback pre-filter with :meth:`supports` -- exactly the
-    contract :class:`~repro.network.fast_engine.FastEngine` has with
-    :func:`~repro.network.engine.make_engine`.
+    :class:`~repro.util.errors.ValidationError` when a job's policy
+    cannot join the stack (see :meth:`unsupported_reason`; a stack of
+    exactly one job takes anything
+    :class:`~repro.network.fast_engine.FastEngine` supports); callers
+    wanting graceful fallback pre-filter with :meth:`supports` --
+    exactly the contract :class:`~repro.network.fast_engine.FastEngine`
+    has with :func:`~repro.network.engine.make_engine`.
     """
 
     def __init__(self, jobs):
         jobs = [tuple(job) for job in jobs]
-        for i, (network, policy, requests, horizon) in enumerate(jobs):
+        for i, (_network, policy, _requests, _horizon) in enumerate(jobs):
             reason = self.unsupported_reason(policy)
-            if reason is not None:
+            # alone on the stack, a policy shares its clock and its
+            # decision program with nobody
+            if reason is not None and not (
+                    len(jobs) == 1 and FastEngine.supports(policy)
+                    and getattr(policy, "node_model", 1) != 2):
                 raise ValidationError(
                     f"job {i} ({type(policy).__name__}) cannot join a "
                     f"stacked batch: {reason}"
                 )
         self.jobs = jobs
 
-    # -- eligibility ------------------------------------------------------
-
     @classmethod
     def unsupported_reason(cls, policy) -> str | None:
-        """Why ``policy`` cannot join a stacked batch (None when it can).
+        """Why ``policy`` cannot join a multi-job stack (None when it can).
 
         The batch-program forms mirror the fast engine's lifts minus the
         scalar adapter: plan replay, the built-in greedy priorities, and
@@ -218,18 +606,13 @@ class FastBatchEngine:
             return "policy sets vectorize=False (pinned to the reference engine)"
         if getattr(policy, "node_model", 1) == 2:
             return "Model 2 node semantics run on the dedicated Model 2 engines"
-        if isinstance(policy, PlanPolicy):
+        kind = _lift(policy)
+        if kind == "plan":
             return None
-        if callable(getattr(policy, "decide_vector", None)):
-            if getattr(policy, "batch_program", None) is None:
-                return ("native vector policy declares no batch_program "
-                        "(the group-locality opt-in)")
-            if not _steps_stateless(policy):
-                return ("policy keeps per-step state (on_step_begin); "
-                        "stacked scenarios share one clock")
-            return None
-        if getattr(policy, "fast_priority", None) in \
-                FastEngine.SUPPORTED_PRIORITIES:
+        if kind == "native" and getattr(policy, "batch_program", None) is None:
+            return ("native vector policy declares no batch_program "
+                    "(the group-locality opt-in)")
+        if kind in ("native", "greedy"):
             if not _steps_stateless(policy):
                 return ("policy keeps per-step state (on_step_begin); "
                         "stacked scenarios share one clock")
@@ -239,369 +622,10 @@ class FastBatchEngine:
 
     @classmethod
     def supports(cls, policy) -> bool:
-        """True when ``policy`` can join a stacked batch execution."""
+        """True when ``policy`` can join a multi-job stack."""
         return cls.unsupported_reason(policy) is None
-
-    # -- program grouping -------------------------------------------------
-
-    def _assign_programs(self, d_max, off_j, cnt_j, rid_parts, total):
-        """``(programs, prog_of_job)``: one entry per distinct decision
-        program, and each job's program index.  All plan jobs compile into
-        a single merged program over global request positions, and all
-        greedy-family jobs (any mix of priorities) merge into one
-        :class:`_StackedGreedyProgram` -- the per-tick cost is per
-        *program*, so merging keeps it flat in sweep heterogeneity."""
-        programs: list = []
-        prog_key: dict = {}
-        prog_of_job = np.zeros(len(self.jobs), dtype=np.int64)
-        plan_jobs: list = []
-        greedy_jobs: list = []
-        for b, (network, policy, requests, horizon) in enumerate(self.jobs):
-            if isinstance(policy, PlanPolicy):
-                key = ("plan",)
-                program = None  # merged below
-                plan_jobs.append(b)
-            elif callable(getattr(policy, "decide_vector", None)):
-                key = ("native", type(policy), policy.batch_program)
-                program = policy
-            else:
-                key = ("greedy",)
-                program = None  # merged below
-                greedy_jobs.append(b)
-            pid = prog_key.get(key)
-            if pid is None:
-                pid = len(programs)
-                prog_key[key] = pid
-                programs.append(program)
-            prog_of_job[b] = pid
-        if greedy_jobs:
-            pcode = np.zeros(total, dtype=np.int64)
-            for b in greedy_jobs:
-                sl = slice(off_j[b], off_j[b] + cnt_j[b])
-                pcode[sl] = _GREEDY_CODES[self.jobs[b][1].fast_priority]
-            programs[prog_key[("greedy",)]] = _StackedGreedyProgram(pcode)
-        if plan_jobs:
-            t0 = np.zeros(total, dtype=np.int64)
-            length = np.zeros(total, dtype=np.int64)
-            off = np.zeros(total, dtype=np.int64)
-            chunks: list = []
-            pos = 0
-            for b in plan_jobs:
-                part = _PlanVectorPolicy(self.jobs[b][1], d_max, rid_parts[b])
-                sl = slice(off_j[b], off_j[b] + cnt_j[b])
-                t0[sl] = part._t0
-                length[sl] = part._len
-                off[sl] = part._off + pos
-                pos += part._codes.size
-                chunks.append(part._codes)
-            codes = (np.concatenate(chunks) if chunks
-                     else np.empty(0, dtype=np.int64))
-            merged = _StackedPlanProgram(d_max, t0, length, off, codes)
-            programs[prog_key[("plan",)]] = merged
-        return programs, prog_of_job
-
-    # -- main loop --------------------------------------------------------
 
     def run_many(self) -> list:
         """Execute every job; one :class:`SimulationResult` per job, in
         job order, each bit-identical to a per-scenario run."""
-        jobs = self.jobs
-        m = len(jobs)
-        if m == 0:
-            return []
-        d_max = max(job[0].d for job in jobs)
-
-        # -- stack the per-job request state --------------------------------
-        cnt_j = np.zeros(m, dtype=np.int64)
-        horizon_j = np.zeros(m, dtype=np.int64)
-        last_arr_j = np.full(m, -1, dtype=np.int64)
-        B_j = np.zeros(m, dtype=np.int64)
-        c_j = np.zeros(m, dtype=np.int64)
-        node_off = np.zeros(m, dtype=np.int64)
-        dims2d = np.ones((m, d_max), dtype=np.int64)
-        wrap2d = np.zeros((m, d_max), dtype=bool)
-        strides2d = np.zeros((m, d_max), dtype=np.int64)
-        # global per-(node, axis) capacity table, only when a stacked
-        # network overrides per-edge capacities
-        need_caps = any(job[0].link_caps for job in jobs)
-        cap_parts: list = []
-        src_parts, dst_parts, arr_parts, dl_parts, rid_parts = \
-            [], [], [], [], []
-        reqs_all: list = []
-        nodes = 0
-        for b, (network, policy, requests, horizon) in enumerate(jobs):
-            reqs = tuple(requests)
-            reqs_all.extend(reqs)
-            cnt_j[b] = len(reqs)
-            horizon_j[b] = int(horizon)
-            B_j[b] = network.buffer_size
-            c_j[b] = network.capacity
-            node_off[b] = nodes
-            nodes += network.n
-            d_b = network.d
-            dims2d[b, :d_b] = network.dims
-            wrap2d[b, :d_b] = network.wrap
-            if need_caps:
-                part = np.full(network.n * d_max, network.capacity,
-                               dtype=np.int64)
-                for (tail, axis), cap in network.link_caps.items():
-                    part[network.node_index(tail) * d_max + axis] = cap
-                cap_parts.append(part)
-            # row-major strides of the job's own grid; padded axes stay 0
-            # (their coordinate is always 0, so they contribute nothing)
-            strides2d[b, d_b - 1] = 1
-            for axis in range(d_b - 2, -1, -1):
-                strides2d[b, axis] = strides2d[b, axis + 1] * dims2d[b, axis + 1]
-            if reqs:
-                s, t, a, dl, r = _request_arrays(network, reqs)
-                pad = d_max - d_b
-                if pad:
-                    s = np.pad(s, ((0, 0), (0, pad)))
-                    t = np.pad(t, ((0, 0), (0, pad)))
-                last_arr_j[b] = int(a.max())
-            else:
-                s = t = np.zeros((0, d_max), dtype=np.int64)
-                a = dl = r = np.zeros(0, dtype=np.int64)
-            src_parts.append(s)
-            dst_parts.append(t)
-            arr_parts.append(a)
-            dl_parts.append(dl)
-            rid_parts.append(r)
-        off_j = np.concatenate(([0], np.cumsum(cnt_j)))[:-1]
-        total = int(cnt_j.sum())
-        src = np.concatenate(src_parts) if total else np.zeros((0, d_max), np.int64)
-        dst = np.concatenate(dst_parts) if total else np.zeros((0, d_max), np.int64)
-        arrival = np.concatenate(arr_parts) if total else np.zeros(0, np.int64)
-        deadline = np.concatenate(dl_parts) if total else np.zeros(0, np.int64)
-        rid = np.concatenate(rid_parts) if total else np.zeros(0, np.int64)
-        bid = np.repeat(np.arange(m, dtype=np.int64), cnt_j)
-        reqs_all = tuple(reqs_all)
-        any_wrap = bool(wrap2d.any())
-        cap_flat = np.concatenate(cap_parts) if need_caps else None
-
-        programs, prog_of_job = self._assign_programs(
-            d_max, off_j, cnt_j, rid_parts, total)
-        prog_row = prog_of_job[bid]
-
-        # -- mutable packet state -------------------------------------------
-        loc = src.copy()
-        alive = np.zeros(total, dtype=bool)
-        scode = np.zeros(total, dtype=np.int64)  # _PENDING
-        delivered_t = np.full(total, -1, dtype=np.int64)
-
-        # -- per-scenario accumulators --------------------------------------
-        running = cnt_j > 0  # empty jobs break at t=0 like the fast engine
-        n_alive_j = np.zeros(m, dtype=np.int64)
-        steps_j = np.zeros(m, dtype=np.int64)
-        delivered_j = np.zeros(m, dtype=np.int64)
-        late_j = np.zeros(m, dtype=np.int64)
-        rejected_j = np.zeros(m, dtype=np.int64)
-        preempted_j = np.zeros(m, dtype=np.int64)
-        forwards_j = np.zeros(m, dtype=np.int64)
-        stores_j = np.zeros(m, dtype=np.int64)
-        max_link_j = np.zeros(m, dtype=np.int64)
-        max_buf_j = np.zeros(m, dtype=np.int64)
-
-        inj_order = kernel.injection_order(arrival)
-        arr_sorted = arrival[inj_order]
-
-        for t in range(0, int(horizon_j.max()) + 2):
-            # each scenario's private loop: past its horizon, or drained
-            # with no arrivals left, it stops ticking (exactly the fast
-            # engine's break) while the others continue
-            idx = np.flatnonzero(running)
-            if idx.size == 0:
-                break
-            stop = (horizon_j[idx] < t) | \
-                ((n_alive_j[idx] == 0) & (last_arr_j[idx] < t))
-            if stop.any():
-                for b in idx[stop]:
-                    # packets stranded past the horizon leave the live set;
-                    # finalize turns their INJECTED codes into PREEMPTED
-                    alive[off_j[b]:off_j[b] + cnt_j[b]] = False
-                running[idx[stop]] = False
-                idx = idx[~stop]
-                if idx.size == 0:
-                    break
-            steps_j[idx] += 1
-
-            # local inputs revealed at time t (only for running scenarios)
-            lo = np.searchsorted(arr_sorted, t, side="left")
-            hi = np.searchsorted(arr_sorted, t, side="right")
-            if hi > lo:
-                rows = inj_order[lo:hi]
-                rows = rows[running[bid[rows]]]
-                if rows.size:
-                    alive[rows] = True
-                    n_alive_j += np.bincount(bid[rows], minlength=m)
-
-            act = np.flatnonzero(alive)
-            if act.size == 0:
-                continue
-
-            # deliveries first (Section 2.1)
-            at_dest = (loc[act] == dst[act]).all(axis=1)
-            done = act[at_dest]
-            if done.size:
-                on_time = t <= deadline[done]
-                scode[done] = np.where(on_time, _DELIVERED, _LATE)
-                delivered_t[done] = t
-                db = bid[done]
-                delivered_j += np.bincount(db[on_time], minlength=m)
-                late_j += np.bincount(db[~on_time], minlength=m)
-                alive[done] = False
-                n_alive_j -= np.bincount(db, minlength=m)
-            rem = act[~at_dest]
-            if rem.size == 0:
-                continue
-
-            node_id = node_off[bid[rem]] + \
-                (loc[rem] * strides2d[bid[rem]]).sum(axis=1)
-            k = rem.size
-            fwd_mask = np.zeros(k, dtype=bool)
-            axis_arr = np.zeros(k, dtype=np.int64)
-            store_mask = np.zeros(k, dtype=bool)
-            prog_rem = prog_row[rem]
-            for pid, program in enumerate(programs):
-                pos = np.flatnonzero(prog_rem == pid) if len(programs) > 1 \
-                    else np.arange(k)
-                if pos.size == 0:
-                    continue
-                rows = rem[pos]
-                rb = bid[rows]
-                view = StepView(
-                    t=t,
-                    network=_StackedNetworkView(
-                        d_max, B_j[rb], c_j[rb], dims2d[rb],
-                        wrap2d[rb] if any_wrap else None, cap_flat),
-                    requests=reqs_all, index=rows, node_id=node_id[pos],
-                    loc=loc[rows], src=src[rows], dst=dst[rows],
-                    arrival=arrival[rows], deadline=deadline[rows],
-                    rid=rid[rows], batch=rb,
-                )
-                decision = program.decide_vector(view)
-                f, a, s = self._check_decision(
-                    decision, view, rb, loc, dims2d, wrap2d, B_j, c_j,
-                    cap_flat, max_link_j, max_buf_j, d_max)
-                fwd_mask[pos] = f
-                axis_arr[pos] = a
-                store_mask[pos] = s
-
-            fwd = rem[fwd_mask]
-            if fwd.size:
-                fa = axis_arr[fwd_mask]
-                loc[fwd, fa] += 1
-                if any_wrap:
-                    # identity on non-wrapping axes (heads were validated)
-                    loc[fwd, fa] %= dims2d[bid[fwd], fa]
-                scode[fwd] = _INJECTED
-                forwards_j += np.bincount(bid[fwd], minlength=m)
-            stored = rem[store_mask]
-            if stored.size:
-                scode[stored] = _INJECTED
-                stores_j += np.bincount(bid[stored], minlength=m)
-            dropped = rem[~fwd_mask & ~store_mask]
-            if dropped.size:
-                fresh = arrival[dropped] == t  # rejected at injection
-                scode[dropped] = np.where(fresh, _REJECTED, _PREEMPTED)
-                rejected_j += np.bincount(bid[dropped[fresh]], minlength=m)
-                preempted_j += np.bincount(bid[dropped[~fresh]], minlength=m)
-                alive[dropped] = False
-                n_alive_j -= np.bincount(bid[dropped], minlength=m)
-
-        # -- per-scenario finalize ------------------------------------------
-        results: list = []
-        for b in range(m):
-            stats = NetworkStats(
-                delivered=int(delivered_j[b]), late=int(late_j[b]),
-                rejected=int(rejected_j[b]), preempted=int(preempted_j[b]),
-                forwards=int(forwards_j[b]), stores=int(stores_j[b]),
-                max_link_load=int(max_link_j[b]),
-                max_buffer_load=int(max_buf_j[b]), steps=int(steps_j[b]),
-            )
-            o, n_b = int(off_j[b]), int(cnt_j[b])
-            if n_b == 0:
-                results.append(SimulationResult(
-                    stats=stats, status={},
-                    trace=TraceRecorder(enabled=False), engine="batch"))
-                continue
-            results.append(_finalize_result(
-                stats, scode[o:o + n_b], rid[o:o + n_b],
-                delivered_t[o:o + n_b], TraceRecorder(enabled=False),
-                engine="batch"))
-        return results
-
-    # -- decision enforcement ---------------------------------------------
-
-    @staticmethod
-    def _check_decision(decision, view, rb, loc, dims2d, wrap2d, B_j, c_j,
-                        cap_flat, max_link_j, max_buf_j, d_max):
-        """Batched :meth:`FastEngine._check_decision`: one program's rows,
-        per-row capacities, per-scenario load maxima.
-
-        Programs are per-scenario, so a (node, axis) contention group
-        never spans programs and per-call accounting is exact.
-        """
-        fwd_mask = np.asarray(decision.forward, dtype=bool)
-        store_mask = np.asarray(decision.store, dtype=bool)
-        axis_arr = np.asarray(decision.axis, dtype=np.int64)
-        k = view.size
-        if fwd_mask.shape != (k,) or store_mask.shape != (k,) \
-                or axis_arr.shape != (k,):
-            raise ValidationError(
-                f"vector decision shapes {fwd_mask.shape}/{axis_arr.shape}/"
-                f"{store_mask.shape} do not match the step view ({k} rows)"
-            )
-        both = fwd_mask & store_mask
-        if both.any():
-            i = int(np.flatnonzero(both)[0])
-            raise ValidationError(
-                f"packet {int(view.rid[i])} scheduled twice")
-
-        if fwd_mask.any():
-            fa = axis_arr[fwd_mask]
-            if ((fa < 0) | (fa >= d_max)).any():
-                raise ValidationError(
-                    f"vector decision names an axis outside 0..{d_max - 1}")
-            rows = view.index[fwd_mask]
-            fb = rb[fwd_mask]
-            heads = loc[rows, fa] + 1
-            # an edge exists when the head stays on-grid, or the axis
-            # wraps with more than one node
-            bad = (heads >= dims2d[fb, fa]) & \
-                (~wrap2d[fb, fa] | (dims2d[fb, fa] == 1))
-            if bad.any():
-                i = int(np.flatnonzero(bad)[0])
-                raise ValidationError(
-                    f"node {tuple(loc[rows[i], :])} has no outgoing axis "
-                    f"{int(fa[i])} (batch scenario {int(fb[i])})"
-                )
-            gid = view.node_id[fwd_mask] * d_max + fa
-            uniq, first, counts = np.unique(gid, return_index=True,
-                                            return_counts=True)
-            gb = fb[first]
-            cap = cap_flat[uniq] if cap_flat is not None else c_j[gb]
-            over = counts > cap
-            if over.any():
-                i = int(np.flatnonzero(over)[0])
-                raise CapacityError(
-                    f"decision forwards {int(counts[i])} > "
-                    f"c={int(cap[i])} on a link "
-                    f"(batch scenario {int(gb[i])})")
-            np.maximum.at(max_link_j, gb, counts)
-
-        if store_mask.any():
-            nid = view.node_id[store_mask]
-            sb = rb[store_mask]
-            _, first, counts = np.unique(nid, return_index=True,
-                                         return_counts=True)
-            gb = sb[first]
-            over = counts > B_j[gb]
-            if over.any():
-                i = int(np.flatnonzero(over)[0])
-                raise CapacityError(
-                    f"decision stores {int(counts[i])} > "
-                    f"B={int(B_j[gb[i]])} at a node "
-                    f"(batch scenario {int(gb[i])})")
-            np.maximum.at(max_buf_j, gb, counts)
-        return fwd_mask, axis_arr, store_mask
+        return _run_stack(self.jobs, "batch")

@@ -2,11 +2,13 @@
 
 :class:`FastEngine` replays the exact step dynamics of
 :class:`~repro.network.simulator.Simulator` (Section 2.1) but packs all
-packet state into numpy arrays -- location, axis-to-go, arrival, deadline
+packet state into numpy arrays -- location, node id, arrival, deadline
 -- and resolves each time step with grouped array operations instead of
 per-packet Python dicts.  One step costs a handful of ``lexsort``/scatter
 passes over the *live* packets, so large grid workloads run one to two
-orders of magnitude faster than the reference engine.
+orders of magnitude faster than the reference engine.  The loop itself
+is the stacked one of :mod:`repro.network.fast_batch_engine`:
+a fast-engine run is a stack of exactly one job.
 
 Decisions come from the vectorized decision ABI of
 :mod:`repro.network.engine`: once per step the engine builds a
@@ -20,12 +22,15 @@ choose packets.  Every policy runs:
   (anything with ``decide_vector``) -- called directly;
 * the greedy family -- any policy exposing a ``fast_priority`` attribute
   naming one of the built-in priority orders (``fifo``, ``lifo``,
-  ``longest``, ``ntg``) runs on :class:`GreedyVectorPolicy`;
+  ``longest``, ``ntg``) -- ranked on that order's key tuple by
+  :func:`greedy_masks`;
 * :class:`~repro.network.simulator.PlanPolicy` replay -- the per-packet
   action table is compiled into a vector policy;
 * any other scalar :class:`~repro.network.simulator.Policy` -- lifted by
   :class:`BatchedPolicyAdapter`, which groups the step view per node and
   makes one scalar ``decide`` call per node-step (not per packet).
+  Adapter-lifted scalar policies run alone: they cannot join a stack of
+  several jobs.
 
 Tracing still needs the per-packet hooks of the reference engine;
 :func:`~repro.network.engine.make_engine` falls back automatically.  Both
@@ -46,7 +51,6 @@ from repro.network import kernel
 from repro.network.engine import NO_DEADLINE, StepView, VectorDecision
 from repro.network.packet import DeliveryStatus, Packet
 from repro.network.simulator import PlanPolicy, Policy, SimulationResult
-from repro.network.stats import NetworkStats
 from repro.network.topology import Network
 from repro.network.trace import TraceRecorder
 from repro.util.errors import CapacityError, ValidationError
@@ -94,8 +98,8 @@ def _request_arrays(network, reqs):
     scalar path's.
     """
     if not len(reqs):
-        empty = np.array([], dtype=np.int64)
-        return empty, empty, empty, empty.copy(), empty.copy()
+        empty = np.zeros((0, network.d), dtype=np.int64)
+        return empty, empty.copy(), empty[:, 0], empty[:, 0], empty[:, 0]
     try:
         src = np.array([r.source for r in reqs], dtype=np.int64)
         dst = np.array([r.dest for r in reqs], dtype=np.int64)
@@ -142,11 +146,11 @@ def _finalize_result(stats, scode, rid, delivered_t, trace, engine="fast"):
     stats.preempted += int(in_flight.sum())
     scode[in_flight] = _PREEMPTED
 
-    status = {
-        int(r): _CODE_TO_STATUS[int(code)] for r, code in zip(rid, scode)
-    }
-    for i in np.flatnonzero(delivered_t >= 0):
-        stats.delivery_times[int(rid[i])] = int(delivered_t[i])
+    status = dict(zip(rid.tolist(),
+                      map(_CODE_TO_STATUS.__getitem__, scode.tolist())))
+    delivered = delivered_t >= 0
+    stats.delivery_times.update(zip(rid[delivered].tolist(),
+                                    delivered_t[delivered].tolist()))
     return SimulationResult(stats=stats, status=status, trace=trace,
                             engine=engine)
 
@@ -169,9 +173,10 @@ def greedy_masks(view: StepView, keys) -> VectorDecision:
     engine share one native hot loop.
 
     ``view.network`` may be a per-scenario :class:`Network` (scalar
-    ``B``/``c``) or a stacked batch facade whose ``buffer_size`` and
-    ``capacity`` are *per-row* arrays -- the ranking is group-local
-    either way, so the same masks come out row for row.
+    ``B``/``c``) or the stacked facade of the array loop, whose
+    ``buffer_size`` and ``capacity`` may be *per-row* arrays -- the
+    ranking is group-local either way, so the same masks come out row
+    for row.
     """
     togo = view.network.togo_array(view.loc, view.dst)
     axis = np.argmax(togo > 0, axis=1)  # one-bend: first unfinished axis
@@ -180,75 +185,6 @@ def greedy_masks(view: StepView, keys) -> VectorDecision:
         view.network.buffer_size,
         view.network.edge_capacity(view.node_id, axis))
     return VectorDecision(forward=fwd_mask, axis=axis, store=store_mask)
-
-
-class GreedyVectorPolicy:
-    """The built-in greedy family on the decision ABI.
-
-    Bit-identical to :class:`~repro.baselines.greedy.GreedyPolicy` /
-    :class:`~repro.baselines.nearest_to_go.NearestToGoPolicy` because the
-    key tuples match and end in the unique ``rid``.
-    """
-
-    def __init__(self, priority: str):
-        _priority_keys(priority, np.empty(0, np.int64),
-                       np.empty(0, np.int64), np.empty(0, np.int64))
-        self.priority = priority
-
-    def decide_vector(self, view: StepView) -> VectorDecision:
-        keys = _priority_keys(self.priority, view.arrival, view.rid,
-                              view.remaining())
-        return greedy_masks(view, keys)
-
-
-class _PlanVectorPolicy:
-    """Plan replay on the decision ABI: per-packet action tables.
-
-    Compiled once per run from a :class:`PlanPolicy`'s ``(rid, t)`` action
-    map: packet at request-position ``i`` performs
-    ``codes[offset[i] + (t - t0[i])]`` at time ``t`` when
-    ``0 <= t - t0[i] < length[i]``; code ``axis < d`` forwards, code ``d``
-    stores, ``-1`` (or no table entry) deletes.
-    """
-
-    def __init__(self, policy: PlanPolicy, d: int, rid):
-        by_rid: dict = {}
-        for (r, t), action in policy.actions.items():
-            by_rid.setdefault(r, {})[t] = action
-        n = len(rid)
-        self._d = d
-        self._t0 = np.zeros(n, dtype=np.int64)
-        self._len = np.zeros(n, dtype=np.int64)
-        self._off = np.zeros(n, dtype=np.int64)
-        chunks = []
-        pos = 0
-        for i, r in enumerate(rid):
-            acts = by_rid.get(int(r))
-            if not acts:
-                continue
-            times = sorted(acts)
-            self._t0[i] = times[0]
-            self._len[i] = times[-1] - times[0] + 1
-            codes = np.full(self._len[i], -1, dtype=np.int64)
-            for t, action in acts.items():
-                codes[t - times[0]] = d if action[0] == "S" else action[1]
-            self._off[i] = pos
-            pos += len(codes)
-            chunks.append(codes)
-        self._codes = (np.concatenate(chunks) if chunks
-                       else np.empty(0, dtype=np.int64))
-
-    def decide_vector(self, view: StepView) -> VectorDecision:
-        i = view.index
-        rel = view.t - self._t0[i]
-        has = (rel >= 0) & (rel < self._len[i])
-        code = np.full(view.size, -1, dtype=np.int64)
-        if has.any():
-            code[has] = self._codes[self._off[i[has]] + rel[has]]
-        fwd_mask = (code >= 0) & (code < self._d)
-        store_mask = code == self._d
-        return VectorDecision(forward=fwd_mask, axis=np.maximum(code, 0),
-                              store=store_mask)
 
 
 class BatchedPolicyAdapter:
@@ -340,12 +276,34 @@ class BatchedPolicyAdapter:
                               store=store_mask)
 
 
+def _lift(policy) -> str | None:
+    """Which decision program runs ``policy`` on the array loop.
+
+    ``"plan"`` (compiled :class:`PlanPolicy` replay), ``"native"``
+    (``decide_vector``), ``"greedy"`` (a named ``fast_priority``),
+    ``"scalar"`` (any other ``decide``, lifted by
+    :class:`BatchedPolicyAdapter`), or ``None`` -- checked in that order.
+    """
+    if isinstance(policy, PlanPolicy):
+        return "plan"
+    if callable(getattr(policy, "decide_vector", None)):
+        return "native"
+    if getattr(policy, "fast_priority", None) in \
+            FastEngine.SUPPORTED_PRIORITIES:
+        return "greedy"
+    if callable(getattr(policy, "decide", None)):
+        return "scalar"
+    return None
+
+
 class FastEngine:
     """Vectorized drop-in for :class:`~repro.network.simulator.Simulator`.
 
-    Construction raises :class:`~repro.util.errors.ValidationError` for
-    unsupported policies or ``trace=True`` -- use
-    :func:`~repro.network.engine.make_engine` for graceful fallback.
+    A stack of one job on the array loop of
+    :mod:`repro.network.fast_batch_engine`.  Construction raises
+    :class:`~repro.util.errors.ValidationError` for unsupported policies
+    or ``trace=True`` -- use :func:`~repro.network.engine.make_engine`
+    for graceful fallback.
     """
 
     SUPPORTED_PRIORITIES = frozenset({"fifo", "lifo", "longest", "ntg"})
@@ -355,29 +313,16 @@ class FastEngine:
             raise ValidationError(
                 "FastEngine does not record traces; use the reference engine"
             )
-        self.network = network
-        self.policy = policy
-        self.trace = TraceRecorder(enabled=False)
-        self._vpolicy = None
-        if isinstance(policy, PlanPolicy):
-            self._mode = "plan"  # compiled per run (needs the rid order)
-        elif callable(getattr(policy, "decide_vector", None)):
-            self._mode = "vector"
-            self._vpolicy = policy
-        elif getattr(policy, "fast_priority", None) in \
-                self.SUPPORTED_PRIORITIES:
-            self._mode = "vector"
-            self._vpolicy = GreedyVectorPolicy(policy.fast_priority)
-        elif callable(getattr(policy, "decide", None)):
-            self._mode = "vector"
-            self._vpolicy = BatchedPolicyAdapter(policy, network)
-        else:
+        if _lift(policy) is None:
             raise ValidationError(
                 f"policy {type(policy).__name__} is not supported by "
                 f"FastEngine (needs decide_vector, a fast_priority in "
                 f"{sorted(self.SUPPORTED_PRIORITIES)}, a scalar decide, "
                 f"or a PlanPolicy)"
             )
+        self.network = network
+        self.policy = policy
+        self.trace = TraceRecorder(enabled=False)
 
     @classmethod
     def supports(cls, policy) -> bool:
@@ -391,186 +336,12 @@ class FastEngine:
         """
         if getattr(policy, "vectorize", True) is False:
             return False
-        return (
-            isinstance(policy, PlanPolicy)
-            or callable(getattr(policy, "decide_vector", None))
-            or getattr(policy, "fast_priority", None)
-            in cls.SUPPORTED_PRIORITIES
-            or callable(getattr(policy, "decide", None))
-        )
-
-    # -- main loop -------------------------------------------------------
+        return _lift(policy) is not None
 
     def run(self, requests, horizon: int) -> SimulationResult:
         """Simulate ``requests`` for time steps ``0..horizon`` inclusive."""
-        network = self.network
-        B, c, d = network.buffer_size, network.capacity, network.d
-        stats = NetworkStats()
+        # imported here: the stacked loop's module imports this one
+        from repro.network.fast_batch_engine import _run_stack
 
-        reqs = tuple(requests)
-        n = len(reqs)
-        src, dst, arrival, deadline, rid = _request_arrays(network, reqs)
-        if n == 0:
-            return SimulationResult(stats=stats, status={}, trace=self.trace,
-                                    engine="fast")
-
-        dims = np.array(network.dims, dtype=np.int64)
-        # row-major flat node index, matching Network.node_index
-        strides = np.ones(d, dtype=np.int64)
-        for axis in range(d - 2, -1, -1):
-            strides[axis] = strides[axis + 1] * dims[axis + 1]
-
-        loc = src.copy()
-        alive = np.zeros(n, dtype=bool)
-        scode = np.zeros(n, dtype=np.int64)  # _PENDING
-        delivered_t = np.full(n, -1, dtype=np.int64)
-
-        vpolicy = self._vpolicy
-        if self._mode == "plan":
-            vpolicy = _PlanVectorPolicy(self.policy, d, rid)
-        step_begin = getattr(vpolicy, "on_step_begin", None)
-
-        inj_order = kernel.injection_order(arrival)
-        ptr = 0
-        n_alive = 0
-        last_arrival = int(arrival.max())
-
-        for t in range(0, horizon + 1):
-            if n_alive == 0 and t > last_arrival:
-                break
-            stats.steps += 1
-            if step_begin is not None:
-                step_begin(t)
-
-            # local inputs revealed at time t
-            while ptr < n and arrival[inj_order[ptr]] == t:
-                i = inj_order[ptr]
-                alive[i] = True
-                n_alive += 1
-                ptr += 1
-
-            act = np.flatnonzero(alive)
-            if act.size == 0:
-                continue
-
-            # deliveries first (Section 2.1)
-            at_dest = (loc[act] == dst[act]).all(axis=1)
-            done = act[at_dest]
-            if done.size:
-                on_time = t <= deadline[done]
-                scode[done] = np.where(on_time, _DELIVERED, _LATE)
-                delivered_t[done] = t
-                n_on = int(on_time.sum())
-                stats.delivered += n_on
-                stats.late += done.size - n_on
-                alive[done] = False
-                n_alive -= done.size
-            rem = act[~at_dest]
-            if rem.size == 0:
-                continue
-
-            node_id = loc[rem] @ strides
-            view = StepView(
-                t=t, network=network, requests=reqs, index=rem,
-                node_id=node_id, loc=loc[rem], src=src[rem], dst=dst[rem],
-                arrival=arrival[rem], deadline=deadline[rem], rid=rid[rem],
-            )
-            decision = vpolicy.decide_vector(view)
-            fwd_mask, fwd_axis, store_mask = self._check_decision(
-                decision, view, loc, dims, stats, B, c, d)
-
-            fwd = rem[fwd_mask]
-            if fwd.size:
-                loc[fwd, fwd_axis] += 1
-                if network.any_wrap:
-                    # identity on non-wrapping axes (heads were validated)
-                    loc[fwd, fwd_axis] %= dims[fwd_axis]
-                scode[fwd] = _INJECTED
-                stats.forwards += fwd.size
-            stored = rem[store_mask]
-            if stored.size:
-                scode[stored] = _INJECTED
-                stats.stores += stored.size
-            dropped = rem[~fwd_mask & ~store_mask]
-            if dropped.size:
-                fresh = arrival[dropped] == t  # rejected at injection
-                scode[dropped] = np.where(fresh, _REJECTED, _PREEMPTED)
-                n_fresh = int(fresh.sum())
-                stats.rejected += n_fresh
-                stats.preempted += dropped.size - n_fresh
-                alive[dropped] = False
-                n_alive -= dropped.size
-
-        return _finalize_result(stats, scode, rid, delivered_t, self.trace)
-
-    # -- decision enforcement ---------------------------------------------
-
-    def _check_decision(self, decision, view, loc, dims, stats, B, c, d):
-        """Validate a :class:`VectorDecision` and account the load stats.
-
-        The engine, not the policy, enforces the model: overlapping
-        masks, unknown axes and off-grid forwards raise
-        :class:`~repro.util.errors.ValidationError`; link loads above
-        ``c`` and buffer loads above ``B`` raise
-        :class:`~repro.util.errors.CapacityError` -- the same contract
-        the reference engine's validator applies to scalar decisions.
-        """
-        fwd_mask = np.asarray(decision.forward, dtype=bool)
-        store_mask = np.asarray(decision.store, dtype=bool)
-        axis_arr = np.asarray(decision.axis, dtype=np.int64)
-        k = view.size
-        if fwd_mask.shape != (k,) or store_mask.shape != (k,) \
-                or axis_arr.shape != (k,):
-            raise ValidationError(
-                f"vector decision shapes {fwd_mask.shape}/{axis_arr.shape}/"
-                f"{store_mask.shape} do not match the step view ({k} rows)"
-            )
-        both = fwd_mask & store_mask
-        if both.any():
-            i = int(np.flatnonzero(both)[0])
-            raise ValidationError(
-                f"packet {int(view.rid[i])} scheduled twice")
-
-        fwd_axis = axis_arr[fwd_mask]
-        if fwd_axis.size:
-            if ((fwd_axis < 0) | (fwd_axis >= d)).any():
-                raise ValidationError(
-                    f"vector decision names an axis outside 0..{d - 1}")
-            rows = view.index[fwd_mask]
-            heads = loc[rows, fwd_axis] + 1
-            # an edge exists when the head stays on-grid, or the axis
-            # wraps with more than one node
-            wrap = np.asarray(self.network.wrap, dtype=bool)
-            bad = (heads >= dims[fwd_axis]) & \
-                (~wrap[fwd_axis] | (dims[fwd_axis] == 1))
-            if bad.any():
-                i = int(np.flatnonzero(bad)[0])
-                raise ValidationError(
-                    f"node {tuple(loc[rows[i]])} has no outgoing axis "
-                    f"{int(fwd_axis[i])}"
-                )
-            gid = view.node_id[fwd_mask] * d + fwd_axis
-            uniq, counts = np.unique(gid, return_counts=True)
-            worst = int(counts.max())
-            cap_flat = self.network.capacity_array()
-            if cap_flat is not None:
-                over = counts > cap_flat[uniq]
-                if over.any():
-                    i = int(np.flatnonzero(over)[0])
-                    raise CapacityError(
-                        f"decision forwards {int(counts[i])} > "
-                        f"c={int(cap_flat[uniq[i]])} on a link")
-            elif worst > c:
-                raise CapacityError(f"decision forwards {worst} > c={c} "
-                                    f"on a link")
-            stats.max_link_load = max(stats.max_link_load, worst)
-
-        if store_mask.any():
-            _, counts = np.unique(view.node_id[store_mask],
-                                  return_counts=True)
-            worst = int(counts.max())
-            if worst > B:
-                raise CapacityError(f"decision stores {worst} > B={B} "
-                                    f"at a node")
-            stats.max_buffer_load = max(stats.max_buffer_load, worst)
-        return fwd_mask, fwd_axis, store_mask
+        return _run_stack([(self.network, self.policy, requests, horizon)],
+                          "fast")[0]

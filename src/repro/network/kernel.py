@@ -327,9 +327,9 @@ def admit(node_id, axis, d: int, keys, B, c):
 def injection_order(arrival) -> np.ndarray:
     """Stable injection order: arrival time, ties by request position.
 
-    The one shared definition of the stable-argsort injection idiom the
-    engines used to duplicate (``FastEngine.run``,
-    ``FastBatchEngine.run_many``, ``FastModel2Engine.run``).  Stability
+    The one shared definition of the stable-argsort injection idiom of
+    the array loops (the stacked Model 1 loop behind ``FastEngine`` and
+    ``FastBatchEngine``, and ``FastModel2Engine.run``).  Stability
     is load-bearing: requests revealed at the same step must enter the
     live set in request order, which every engine's status accounting
     assumes (pinned by ``tests/test_kernel.py``).

@@ -20,6 +20,8 @@ validates Lemma 2.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
@@ -31,31 +33,90 @@ from repro.util.errors import ValidationError
 MAX_VARIABLES = 400_000
 
 
-def _window_vertices(network, request, horizon, pmax):
-    """Untilted window of ``request``: vertices on some legal path."""
+def _window_columns(request, horizon, pmax):
+    """``(col_src, col_dest_hi)``: the tilted columns a request's window
+    spans (empty when ``col_dest_hi < col_src``)."""
     a, b = request.source, request.dest
     col_src = request.arrival - sum(a)
     t_hi = horizon if request.deadline is None else min(request.deadline, horizon)
     col_dest_hi = t_hi - sum(b)
     if pmax is not None:
         col_dest_hi = min(col_dest_hi, col_src + pmax - request.distance)
-    if col_dest_hi < col_src:
-        return [], col_src, col_dest_hi
-    verts = []
-    space_ranges = [range(lo, hi + 1) for lo, hi in zip(a, b)]
+    return col_src, col_dest_hi
 
-    def rec(axis, prefix):
-        if axis == len(a):
-            for col in range(col_src, col_dest_hi + 1):
-                t = col + sum(prefix)
-                if 0 <= t <= horizon:
-                    verts.append((*prefix, col))
-            return
-        for x in space_ranges[axis]:
-            rec(axis + 1, prefix + (x,))
 
-    rec(0, ())
-    return verts, col_src, col_dest_hi
+def _window_variables(network, request, horizon, pmax):
+    """``(verts, vset, edges, copies)`` of ``request``'s untilted window
+    (the vertices on some legal path): one LP variable per window edge
+    (``(tail, axis)``, axis ``d`` = buffer) and one per destination
+    copy."""
+    a, b = request.source, request.dest
+    d = network.d
+    col_src, col_hi = _window_columns(request, horizon, pmax)
+    verts = [
+        (*x, col)
+        for x in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(a, b)))
+        for col in range(col_src, col_hi + 1)
+        if 0 <= col + sum(x) <= horizon
+    ]
+    vset = set(verts)
+    edges = []
+    for v in verts:
+        # space moves
+        for axis in range(d):
+            head = list(v)
+            head[axis] += 1
+            head = tuple(head)
+            if head in vset:
+                edges.append((v, axis))
+        # buffer move
+        if network.buffer_size > 0:
+            head = (*v[:-1], v[-1] + 1)
+            if head in vset:
+                edges.append((v, d))
+    copies = [(*b, col) for col in range(col_src, col_hi + 1)
+              if (*b, col) in vset]
+    return verts, vset, edges, copies
+
+
+def _variable_count(network, request, horizon, pmax) -> int:
+    """Closed-form ``len(edges) + len(copies)`` of
+    :func:`_window_variables`, without building the window.
+
+    A window vertex is a box point ``x`` (between source and destination)
+    with a column ``col`` in the window's range and ``0 <= col + sum(x) <=
+    horizon``, so everything depends on ``x`` only through its coordinate
+    sum: counts per sum are the convolution of the per-axis side ranges,
+    and the valid columns per sum are one interval.
+    """
+    a, b = request.source, request.dest
+    col_src, col_hi = _window_columns(request, horizon, pmax)
+    sides = [hi - lo + 1 for lo, hi in zip(a, b)]
+    if col_hi < col_src or min(sides) < 1:
+        return 0
+
+    def per_sum(lengths):
+        """Box points per coordinate sum, from ``sum(a)`` upward."""
+        counts = np.ones(1, dtype=np.int64)
+        for n in lengths:
+            counts = np.convolve(counts, np.ones(n, dtype=np.int64))
+        return counts, sum(a) + np.arange(counts.size)
+
+    def columns(s, hi, gap):
+        """Columns ``col <= hi`` with ``0 <= col + s`` and ``col + s + gap
+        <= horizon`` (``gap`` 1: the edge's head is a step later)."""
+        top = np.minimum(hi, horizon - s - gap)
+        return np.maximum(top - np.maximum(col_src, -s) + 1, 0)
+
+    total = int(columns(np.array([sum(b)]), col_hi, 0)[0])  # dest copies
+    counts, s = per_sum(sides)
+    if network.buffer_size > 0:
+        total += int((counts * columns(s, col_hi - 1, 1)).sum())
+    for axis, side in enumerate(sides):
+        if side > 1:  # a space move along ``axis`` stays inside the box
+            counts, s = per_sum(sides[:axis] + [side - 1] + sides[axis + 1:])
+            total += int((counts * columns(s, col_hi, 1)).sum())
+    return total
 
 
 def fractional_opt(network: Network, requests, horizon: int,
@@ -77,6 +138,14 @@ def fractional_opt(network: Network, requests, horizon: int,
     d = network.d
     B = network.buffer_size
 
+    # refuse oversized LPs before materializing a single window
+    size = sum(_variable_count(network, r, horizon, pmax) for r in requests)
+    if size > MAX_VARIABLES:
+        raise ValidationError(
+            f"LP too large ({size} variables > {MAX_VARIABLES}); "
+            "shrink the instance or use throughput_upper_bound"
+        )
+
     # variable layout: per request, per window edge, plus one delivery
     # variable per destination copy.
     var_lo = []  # start index of each request's block
@@ -85,37 +154,13 @@ def fractional_opt(network: Network, requests, horizon: int,
     nvar = 0
     windows = []
     for r in requests:
-        verts, col_src, col_hi = _window_vertices(network, r, horizon, pmax)
-        vset = set(verts)
-        edges = []
-        for v in verts:
-            # space moves
-            for axis in range(d):
-                head = list(v)
-                head[axis] += 1
-                head = tuple(head)
-                if head in vset:
-                    edges.append((v, axis))
-            # buffer move
-            if B > 0:
-                head = (*v[:-1], v[-1] + 1)
-                if head in vset:
-                    edges.append((v, d))
-        copies = [
-            (*r.dest, col)
-            for col in range(col_src, col_hi + 1)
-            if (*r.dest, col) in vset
-        ]
+        verts, vset, edges, copies = _window_variables(network, r, horizon,
+                                                       pmax)
         windows.append((verts, vset))
         var_lo.append(nvar)
         var_edges.append(edges)
         var_deliv.append(copies)
         nvar += len(edges) + len(copies)
-    if nvar > MAX_VARIABLES:
-        raise ValidationError(
-            f"LP too large ({nvar} variables > {MAX_VARIABLES}); "
-            "shrink the instance or use throughput_upper_bound"
-        )
     if nvar == 0:
         return (0.0, np.zeros(len(requests))) if return_details else 0.0
 

@@ -181,57 +181,6 @@ class TestSweepReproducibility:
         b = sweep(_probe_metric, [3], seeds=5, base_seed=9)
         assert a[3].values == b[3].values
 
-
-class TestSweepSharding:
-    """Multi-host partitioning of (point, trial) sweeps: any shard count
-    merges back to exactly the serial sweep (values in trial order)."""
-
-    POINTS = [("a", 1), ("b", 2), 3, ("a", 1)]  # duplicate collapses
-
-    def test_partition_equivalence(self):
-        from repro.analysis.runner import merge_sweep_shards, sweep_shard
-
-        serial = sweep(_probe_metric, self.POINTS, seeds=4, base_seed=7)
-        for n_shards in (1, 2, 3, 5, 12):
-            parts = [
-                sweep_shard(_probe_metric, self.POINTS, i, n_shards,
-                            seeds=4, base_seed=7)
-                for i in range(n_shards)
-            ]
-            merged = merge_sweep_shards(self.POINTS, reversed(parts), seeds=4)
-            assert list(merged) == list(serial)
-            for point in serial:
-                assert merged[point].values == serial[point].values
-
-    def test_plan_is_deterministic_and_complete(self):
-        from repro.analysis.runner import plan_sweep_shards
-
-        a = plan_sweep_shards(self.POINTS, 4, 3)
-        b = plan_sweep_shards(self.POINTS, 4, 3)
-        assert a == b
-        units = [u for shard in a for u in shard]
-        assert sorted(units) == [(pi, ti) for pi in range(3)
-                                 for ti in range(4)]
-
-    def test_merge_rejects_missing_and_duplicate_units(self):
-        from repro.analysis.runner import merge_sweep_shards, sweep_shard
-
-        parts = [sweep_shard(_probe_metric, self.POINTS, i, 2, seeds=2)
-                 for i in range(2)]
-        with pytest.raises(ValueError, match="missing"):
-            merge_sweep_shards(self.POINTS, parts[:1], seeds=2)
-        with pytest.raises(ValueError, match="more than one shard"):
-            merge_sweep_shards(self.POINTS, parts + parts[:1], seeds=2)
-
-    def test_pooled_shard_matches_serial_shard(self):
-        from repro.analysis.runner import sweep_shard
-
-        serial = sweep_shard(_probe_metric, self.POINTS, 0, 2, seeds=4,
-                             base_seed=7)
-        pooled = sweep_shard(_probe_metric, self.POINTS, 0, 2, seeds=4,
-                             base_seed=7, workers=2)
-        assert serial == pooled
-
     def test_zero_seeds_yields_empty_results(self):
         out = sweep(_probe_metric, [1, 2], seeds=0)
         assert set(out) == {1, 2}

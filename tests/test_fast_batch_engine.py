@@ -15,7 +15,9 @@ short-circuit (no stacked execution at all), and the on-disk
 offline-bound tier shared across algorithms.
 """
 
+import re
 import sys
+import time
 
 import pytest
 
@@ -29,7 +31,7 @@ from repro.core.deterministic import DeterministicRouter
 from repro.network.engine import StepView, VectorDecision
 from repro.network.fast_batch_engine import FastBatchEngine
 from repro.network.fast_engine import FastEngine
-from repro.network.simulator import Decision, PlanPolicy, Policy
+from repro.network.simulator import Decision, PlanPolicy, Policy, Simulator
 from repro.network.topology import GridNetwork, LineNetwork
 from repro.util.errors import ValidationError
 from repro.workloads import (
@@ -131,29 +133,38 @@ class TestStackedParity:
 
 
 class _ScalarOnlyPolicy(Policy):
+    """EDD's scalar decision alone: only the batched adapter lifts it."""
+
     def decide(self, node, t, candidates, network) -> Decision:
-        return Decision()
+        return EarliestDeadlinePolicy().decide(node, t, candidates, network)
 
 
-class _StatefulVectorPolicy(Policy):
+class _StatefulVectorPolicy(EarliestDeadlinePolicy):
+    """EDD that drops everything on every third step: per-step state that
+    changes the decision, so it cannot share a stacked clock."""
+
     batch_program = "stateful"
 
     def on_step_begin(self, t: int) -> None:
-        self.t = t
-
-    def decide_vector(self, view: StepView) -> VectorDecision:
-        raise NotImplementedError
+        self.paused = t % 3 == 2
 
     def decide(self, node, t, candidates, network) -> Decision:
-        return Decision()
+        if self.paused:
+            return Decision()
+        return super().decide(node, t, candidates, network)
 
-
-class _UnlabelledVectorPolicy(Policy):
     def decide_vector(self, view: StepView) -> VectorDecision:
-        raise NotImplementedError
+        decision = super().decide_vector(view)
+        if self.paused:
+            decision.forward[:] = False
+            decision.store[:] = False
+        return decision
 
-    def decide(self, node, t, candidates, network) -> Decision:
-        return Decision()
+
+class _UnlabelledVectorPolicy(EarliestDeadlinePolicy):
+    """EDD without the batch_program opt-in."""
+
+    batch_program = None
 
 
 class TestEligibility:
@@ -177,10 +188,30 @@ class TestEligibility:
         assert FastBatchEngine.unsupported_reason(
             _UnlabelledVectorPolicy()) is not None
 
-    def test_constructor_rejects_ineligible_job(self):
-        net = LineNetwork(6, buffer_size=1, capacity=1)
-        with pytest.raises(ValidationError, match="cannot join"):
-            FastBatchEngine([(net, _ScalarOnlyPolicy(), [], 10)])
+    @pytest.mark.parametrize("policy_cls,reason", [
+        (_ScalarOnlyPolicy,
+         "policy has no batch program (scalar policies run per-scenario "
+         "through the batched adapter)"),
+        (_StatefulVectorPolicy,
+         "policy keeps per-step state (on_step_begin); stacked scenarios "
+         "share one clock"),
+        (_UnlabelledVectorPolicy,
+         "native vector policy declares no batch_program (the "
+         "group-locality opt-in)"),
+    ], ids=["scalar", "stateful", "unlabelled"])
+    def test_constructor_rejects_ineligible_job(self, policy_cls, reason):
+        """What only mixing jobs makes unsafe: rejected from a two-job
+        stack with the eligibility reason, run alone on a one-job stack
+        exactly like the reference engine."""
+        net = LineNetwork(10, buffer_size=2, capacity=1)
+        reqs = deadline_requests(net, 30, 12, slack=3, rng=5)
+        assert FastBatchEngine.unsupported_reason(policy_cls()) == reason
+        with pytest.raises(ValidationError, match=re.escape(reason)):
+            FastBatchEngine([(net, policy_cls(), reqs, 40),
+                             (net, GreedyPolicy("fifo"), reqs, 40)])
+        alone, = FastBatchEngine([(net, policy_cls(), reqs, 40)]).run_many()
+        reference = Simulator(net, policy_cls()).run(reqs, 40)
+        assert_results_identical(alone, reference, policy_cls.__name__)
 
     def test_batch_reason_consults_registry(self):
         def scen(alg, params):
@@ -263,6 +294,19 @@ class TestRunBatchIntegration:
             algorithm="det", horizon=20, seed=0)
         reports = run_batch([det])  # ineligible, but not explicit: no error
         assert reports[0].engine == "fast"
+
+    def test_stacked_wall_times_do_not_overlap(self):
+        """Each stacked report's wall_time is its own build, bound and
+        assembly plus its share of the stacked engine time, so a batch's
+        reports never count the same second twice."""
+        run_module._bound_cache.clear()
+        batch = _sweep_scenarios(engine="batch")
+        t0 = time.perf_counter()
+        reports = run_batch(batch, compute_bound=True)
+        elapsed = time.perf_counter() - t0
+        assert len(reports) >= 3
+        assert all(r.engine == "batch" for r in reports)
+        assert sum(r.wall_time for r in reports) <= elapsed
 
     def test_duplicates_collapse_into_one_stacked_slot(self, monkeypatch):
         batch = _sweep_scenarios(engine="batch")

@@ -1,13 +1,19 @@
 """Tests for the fractional multicommodity LP (opt_f, Lemma 2)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.network.packet import Request
 from repro.network.topology import GridNetwork, LineNetwork
 from repro.packing.exact import exact_opt_small
-from repro.packing.lp import fractional_opt
+from repro.packing.lp import _variable_count, _window_variables, fractional_opt
 from repro.packing.maxflow import throughput_upper_bound
-from repro.util.errors import ValidationError
+from repro.workloads import deadline_requests
 from repro.workloads.uniform import uniform_requests
 
 
@@ -43,10 +49,60 @@ class TestBasics:
         assert fractional_opt(net, reqs, 8) == pytest.approx(1.0)
 
     def test_variable_guard(self):
-        net = LineNetwork(64, buffer_size=1, capacity=1)
-        reqs = uniform_requests(net, 500, 64, rng=0)
-        with pytest.raises(ValidationError):
-            fractional_opt(net, reqs, 4000)
+        """The guard refuses before allocating: under a ~1 GB address-space
+        cap the oversized LP raises ValidationError instead of exhausting
+        memory (run in a subprocess so a regression fails this test, not
+        the whole test run)."""
+        proc = subprocess.run(
+            [sys.executable, "-c", _GUARD_SCRIPT], capture_output=True,
+            text=True, timeout=300,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                     PYTHONPATH=os.pathsep.join(sys.path)))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.strip() == "refused"
+
+
+#: the oversized LP of test_variable_guard, under RLIMIT_AS
+_GUARD_SCRIPT = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from repro.network.topology import LineNetwork
+from repro.packing.lp import fractional_opt
+from repro.util.errors import ValidationError
+from repro.workloads import deadline_requests
+from repro.workloads.uniform import uniform_requests
+net = LineNetwork(64, buffer_size=1, capacity=1)
+reqs = uniform_requests(net, 500, 64, rng=0)
+try:
+    fractional_opt(net, reqs, 4000)
+except ValidationError:
+    print("refused")
+"""
+
+
+class TestVariableCount:
+    """The guard's closed-form count equals the built LP's, so it accepts
+    and rejects exactly the instances whose built size it measures."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([(7,), (3, 4), (2, 2, 3)]),
+           st.integers(0, 2), st.integers(2, 14),
+           st.one_of(st.none(), st.integers(0, 10)),
+           st.one_of(st.none(), st.integers(0, 4)))
+    def test_closed_form_matches_built_windows(self, seed, dims, B, horizon,
+                                               pmax, slack):
+        net = (LineNetwork(dims[0], buffer_size=B, capacity=1)
+               if len(dims) == 1 else
+               GridNetwork(dims, buffer_size=B, capacity=1))
+        if slack is None:
+            reqs = uniform_requests(net, 6, horizon + 2, rng=seed)
+        else:
+            reqs = deadline_requests(net, 6, horizon + 2, slack=slack,
+                                     rng=seed)
+        for r in reqs:
+            _, _, edges, copies = _window_variables(net, r, horizon, pmax)
+            assert _variable_count(net, r, horizon, pmax) \
+                == len(edges) + len(copies), r
 
 
 class TestRelationsBetweenBounds:
