@@ -2,7 +2,8 @@
 
 Per the hpc-parallel guides ("no optimization without measuring"), these
 pin the throughput of the hot paths: the synchronous step engine, the
-array-backed fast engine, the space-time load ledger, Dinic, and the
+array-backed fast engine, the space-time load ledger, the max-flow
+offline bound (scipy's ``maximum_flow`` on the space-time graph), and the
 deterministic pipeline end to end.  They carry no paper claim -- they
 exist so regressions in the substrate are visible.
 
@@ -305,7 +306,7 @@ def test_ledger_add_remove(benchmark):
     assert benchmark.pedantic(run, rounds=5, iterations=1) == 0
 
 
-def test_dinic_spacetime(benchmark):
+def test_maxflow_bound_spacetime(benchmark):
     from repro.network.topology import LineNetwork
     from repro.packing.maxflow import throughput_upper_bound
     from repro.workloads.uniform import uniform_requests

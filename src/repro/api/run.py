@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from repro.api.cache import CacheStats, ResultCache, resolve_mode
 from repro.api.registry import ALGORITHMS, WORKLOADS
 from repro.api.spec import Scenario
+from repro.baselines import offline
 from repro.network import kernel
 from repro.network.engine import resolve_engine_name
 from repro.util.errors import ValidationError
@@ -58,12 +59,6 @@ class ScenarioError(ValidationError):
 #: not identity: a crc collision here would serve a wrong bound)
 _bound_cache: dict = {}
 
-#: the accepted offline-bound surrogates (mirrors
-#: ``repro.baselines.offline.BOUND_METHODS``, which stays the single
-#: enforcement point; duplicated here so run/run_batch/CLI can validate
-#: without importing the heavy bound modules)
-BOUND_METHODS = ("maxflow", "cd", "lp", "exact")
-
 #: (cache root or None, writes enabled, call-scoped memo or None, bound
 #: method) -- the on-disk tier below the memo.  Module state rather than
 #: an ``_execute`` parameter so the worker entry point and every
@@ -73,9 +68,10 @@ _BOUND_IO: tuple = (None, False, None, "maxflow")
 
 
 def _check_bound_method(method: str) -> str:
-    if method not in BOUND_METHODS:
+    if method not in offline.BOUND_METHODS:
         raise ValidationError(
-            f"unknown offline bound {method!r}; choose one of {BOUND_METHODS}"
+            f"unknown offline bound {method!r}; choose one of "
+            f"{offline.BOUND_METHODS}"
         )
     return method
 
@@ -120,10 +116,8 @@ def _instance_bound(scenario: Scenario, network, requests) -> float:
             return value
         value = store.load_bound(scenario, method)  # counts bound_hits/misses
     if value is None:
-        from repro.baselines.offline import offline_bound  # heavy; import late
-
-        value = float(offline_bound(network, requests, scenario.horizon,
-                                    method=method))
+        value = float(offline.offline_bound(network, requests, scenario.horizon,
+                                            method=method))
         if store is not None and write:
             store.store_bound(scenario, value, method)
     if memo is not None:
@@ -411,7 +405,7 @@ def run(scenario: Scenario, *, cache: str | None = None,
     ``compute_bound=False`` skips the offline bound and reports
     ``bound=nan`` -- for timing comparisons and bound-free audits.
     ``bound_method`` picks the surrogate the bound column divides by
-    (one of :data:`BOUND_METHODS`); it is recorded in
+    (one of :data:`repro.baselines.offline.BOUND_METHODS`); it is recorded in
     ``meta["bound_method"]`` and joins every bound-cache key.
     """
     _check_bound_method(bound_method)

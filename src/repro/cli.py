@@ -49,6 +49,7 @@ from repro.api import (
     unavailable_reason,
     workload_names,
 )
+from repro.baselines import offline
 
 #: single source of truth for the common flag defaults (build_parser and
 #: the ignored-flag warnings both read it, so the two cannot drift)
@@ -217,11 +218,9 @@ def _scoreboard_rows(scenarios, network, cache=None,
         workload_ok = WORKLOADS.get(scenario.workload.name).unavailable(
             network, scenario.horizon) is None
         if workload_ok:
-            from repro.baselines.offline import offline_bound
-
             _, requests = scenario.build_instance(network)
-            bound = offline_bound(network, requests, scenario.horizon,
-                                  method=bound_method)
+            bound = offline.offline_bound(network, requests, scenario.horizon,
+                                          method=bound_method)
     rows.append(["offline bound", bound if bound is not None else "n/a"])
     return rows
 
@@ -620,10 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
         "REPRO_CACHE env var (default ~/.cache/repro).  Default mode: "
         "readwrite when REPRO_CACHE is set, else off",
     )
-    from repro.api.run import BOUND_METHODS
-
     bound_kwargs = dict(
-        choices=BOUND_METHODS, default="maxflow",
+        choices=offline.BOUND_METHODS, default="maxflow",
         help="offline bound the ratios divide by (default maxflow; see "
         "benchmarks/README.md for tightness vs cost)",
     )

@@ -7,8 +7,8 @@
 * :mod:`repro.packing.interval` -- interval packing on a line: the optimal
   offline algorithm and the paper's online preemptive simulation of GLL82
   (Section 5.2.1).
-* :mod:`repro.packing.maxflow` -- Dinic max-flow and the single-commodity
-  throughput upper bound.
+* :mod:`repro.packing.maxflow` -- the single-commodity max-flow throughput
+  upper bound, solved by scipy's ``maximum_flow``.
 * :mod:`repro.packing.lp` -- fractional multicommodity LP (the paper's
   ``opt_f``), with the path-length-bounded variant of Lemma 2.
 * :mod:`repro.packing.exact` -- exact integral optimum for tiny instances.
@@ -17,13 +17,12 @@
 from repro.packing.interval import Interval, OnlineIntervalPacker, max_disjoint_intervals
 from repro.packing.ipp import IPPStats, OnlinePathPacking
 from repro.packing.oracle import lightest_path
-from repro.packing.maxflow import Dinic, throughput_upper_bound
+from repro.packing.maxflow import throughput_upper_bound
 from repro.packing.lp import fractional_opt
 from repro.packing.exact import exact_opt_small
 from repro.packing.distributed import DistributedLinePacker
 
 __all__ = [
-    "Dinic",
     "DistributedLinePacker",
     "IPPStats",
     "Interval",

@@ -1,4 +1,4 @@
-"""Max-flow machinery and the single-commodity throughput upper bound.
+"""The single-commodity max-flow upper bound on offline throughput.
 
 ``opt(sigma)`` -- the offline optimal throughput -- is an integral
 multicommodity flow and NP-hard in general, so experiments use computable
@@ -10,105 +10,101 @@ windows), hence the max flow upper-bounds ``opt``.  On lines the bound is
 usually tight for monotone instances (crossing paths can be uncrossed); the
 test-suite compares it against :func:`repro.packing.exact.exact_opt_small`.
 
-The solver is a self-contained Dinic implementation (BFS level graph +
-blocking-flow DFS with the current-arc optimisation), adequate for the
-space-time graphs used in the benches (tens of thousands of edges).
+The flow network is built as numpy ``(tail, head, cap)`` edge arrays, merged
+into one sparse matrix and solved by scipy's compiled
+:func:`scipy.sparse.csgraph.maximum_flow`.  Its size is counted in closed
+form first, and networks above :data:`MAX_EDGES` are refused before any
+edge array is allocated.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import numpy as np
+from scipy.sparse import csr_matrix
 
 from repro.network.topology import Network
 from repro.util.errors import ValidationError
 
+#: largest flow network (in edges, or in vertices) the bound builds; a
+#: solve peaks at about 80 bytes per edge, so about 0.8 GB at the cap
+MAX_EDGES = 10_000_000
 
-class Dinic:
-    """Dinic's max-flow on a graph with ``n`` integer-id nodes."""
 
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list = [[] for _ in range(n)]  # node -> list of edge ids
-        self.to: list = []
-        self.cap: list = []
+def _windows(network: Network, requests, horizon: int):
+    """Validate ``requests`` and describe the live ones (``arrival <=
+    horizon``): per request, its source event vertex, the vertex of its
+    first destination copy, and its window width (``0`` when the
+    destination cannot be reached by ``min(deadline, horizon)``)."""
+    requests = list(requests)
+    for r in requests:
+        network.check_request(r)
+    live = [r for r in requests if r.arrival <= horizon]
+    d, dims, nt = network.d, network.dims, horizon + 1
+    src = np.array([r.source for r in live], dtype=np.int64).reshape(-1, d)
+    dst = np.array([r.dest for r in live], dtype=np.int64).reshape(-1, d)
+    arrival = np.array([r.arrival for r in live], dtype=np.int64)
+    hi = np.array([horizon if r.deadline is None else min(r.deadline, horizon)
+                   for r in live], dtype=np.int64)
+    # network distance, not the closed-form r.distance: wrapping axes
+    # shorten the earliest possible arrival
+    lo = arrival + network.togo_array(src, dst).sum(axis=1)
+    return (np.ravel_multi_index(src.T, dims) * nt + arrival,
+            np.ravel_multi_index(dst.T, dims) * nt + lo,
+            np.maximum(hi - lo + 1, 0))
 
-    def add_edge(self, u: int, v: int, cap: int) -> int:
-        """Add directed edge ``u -> v``; returns the edge id (the reverse
-        edge is ``id ^ 1``)."""
-        if cap < 0:
-            raise ValidationError(f"negative capacity {cap}")
-        eid = len(self.to)
-        self.head[u].append(eid)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.head[v].append(eid + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return eid
 
-    def _bfs(self, s: int, t: int) -> bool:
-        self.level = [-1] * self.n
-        self.level[s] = 0
-        dq = deque([s])
-        while dq:
-            u = dq.popleft()
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and self.level[v] < 0:
-                    self.level[v] = self.level[u] + 1
-                    dq.append(v)
-        return self.level[t] >= 0
+def _edge_count(network: Network, horizon: int, events: int, widths) -> int:
+    """Edges of the flow network, in closed form: per step, one buffer edge
+    per node (when ``B > 0``) and one transmit edge per link; one
+    super-source edge per source event; one edge per destination copy in
+    each window; one unit sink edge per live request."""
+    per_step = network.num_edges() + (network.n if network.buffer_size > 0 else 0)
+    return per_step * max(horizon, 0) + events + int(widths.sum()) + len(widths)
 
-    def _dfs(self, s: int, t: int, limit: int) -> int:
-        """Iterative augmenting DFS (paths in space-time graphs can exceed
-        Python's recursion limit)."""
-        path: list = []  # edge ids along the current partial path
-        u = s
-        while True:
-            if u == t:
-                f = limit
-                for eid in path:
-                    f = min(f, self.cap[eid])
-                for eid in path:
-                    self.cap[eid] -= f
-                    self.cap[eid ^ 1] += f
-                return f
-            advanced = False
-            while self.it[u] < len(self.head[u]):
-                eid = self.head[u][self.it[u]]
-                v = self.to[eid]
-                if self.cap[eid] > 0 and self.level[v] == self.level[u] + 1:
-                    path.append(eid)
-                    u = v
-                    advanced = True
-                    break
-                self.it[u] += 1
-            if advanced:
-                continue
-            # dead end: retreat
-            self.level[u] = -1
-            if not path:
-                return 0
-            eid = path.pop()
-            u = self.to[eid ^ 1]
-            self.it[u] += 1
 
-    def max_flow(self, s: int, t: int) -> int:
-        if s == t:
-            raise ValidationError("source equals sink")
-        flow = 0
-        while self._bfs(s, t):
-            self.it = [0] * self.n
-            while True:
-                f = self._dfs(s, t, 1 << 60)
-                if f == 0:
-                    break
-                flow += f
-        return flow
+def _edges(network: Network, horizon: int, events, counts, first_copy, widths):
+    """The flow network as ``(tail, head, cap)`` arrays.
 
-    def flow_on(self, eid: int, original_cap: int) -> int:
-        """Flow currently routed on edge ``eid`` given its original capacity."""
-        return original_cap - self.cap[eid]
+    Space-time vertex ``(v, t)`` is ``node_index(v) * (horizon + 1) + t``;
+    request ``i``'s unit sink, the super-source and the super-sink follow.
+    """
+    n, d, dims, nt = network.n, network.d, network.dims, horizon + 1
+    sinks = n * nt + np.arange(len(widths))
+    source, sink = n * nt + len(widths), n * nt + len(widths) + 1
+    steps = np.arange(max(horizon, 0))
+    node = np.arange(n)
+    coords = np.unravel_index(node, dims)
+    tails, heads, caps = [], [], []
+
+    def add(tail, head, cap):
+        tails.append(tail)
+        heads.append(head)
+        caps.append(np.broadcast_to(cap, tail.shape))
+
+    if network.buffer_size > 0:
+        tail = (node[:, None] * nt + steps).ravel()
+        add(tail, tail + 1, network.buffer_size)
+    cap_flat = network.capacity_array()
+    for axis, (l, wrap) in enumerate(zip(dims, network.wrap)):
+        # this axis's links; on a wrapping axis the seam l - 1 -> 0 too
+        has = coords[axis] < (l if wrap and l > 1 else l - 1)
+        u = node[has]
+        head = [c[has] for c in coords]
+        head[axis] = (head[axis] + 1) % l
+        v = np.ravel_multi_index(head, dims)
+        cap = network.capacity if cap_flat is None else \
+            np.repeat(cap_flat[u * d + axis], len(steps))
+        add((u[:, None] * nt + steps).ravel(),
+            (v[:, None] * nt + steps + 1).ravel(), cap)
+    add(np.full(len(events), source), events, counts)
+    # request i's window: first_copy[i] + 0 .. widths[i] - 1
+    offset = np.arange(widths.sum()) - np.repeat(np.cumsum(widths) - widths, widths)
+    add(np.repeat(first_copy, widths) + offset, np.repeat(sinks, widths), 1)
+    add(sinks, np.full(len(widths), sink), 1)
+    # the flow is at most one unit per live request, so capping every
+    # capacity there changes no max flow and keeps it inside scipy's int32
+    cap = np.minimum(np.concatenate(caps), len(widths)).astype(np.int32)
+    return np.concatenate(tails), np.concatenate(heads), cap
 
 
 def throughput_upper_bound(network: Network, requests, horizon: int) -> int:
@@ -119,54 +115,25 @@ def throughput_upper_bound(network: Network, requests, horizon: int) -> int:
     super-source fanning into the requests' source events, and per-request
     unit sinks collecting the valid destination copies
     ``(b_i, t')`` for ``t_i <= t' <= min(d_i, horizon)``.
+
+    Raises :class:`ValidationError` when the network would have more than
+    :data:`MAX_EDGES` edges or vertices.
     """
-    requests = list(requests)
     T = int(horizon)
-    n = network.n
-    nt = T + 1
+    source_events, first_copy, widths = _windows(network, requests, T)
+    events, counts = np.unique(source_events, return_counts=True)
+    edges = _edge_count(network, T, len(events), widths)
+    vertices = network.n * (T + 1) + len(widths) + 2
+    if max(edges, vertices) > MAX_EDGES:
+        raise ValidationError(
+            f"max-flow network too large ({edges} edges, {vertices} vertices "
+            f"> MAX_EDGES = {MAX_EDGES}); shrink the network, the horizon or "
+            "the request set"
+        )
+    # imported on first use: nothing else in repro loads csgraph, which
+    # would add about 1 MB of peak memory to every sweep without a bound
+    from scipy.sparse.csgraph import maximum_flow
 
-    def vid(node, t):
-        return network.node_index(node) * nt + t
-
-    num_st = n * nt
-    S = num_st
-    TT = num_st + 1
-    first_sink = num_st + 2
-    dinic = Dinic(first_sink + len(requests))
-
-    B = network.buffer_size
-    for node in network.nodes():
-        base = network.node_index(node) * nt
-        caps = [(axis, nbr, network.capacity_of(node, axis))
-                for axis, nbr in network.out_neighbors(node)]
-        for t in range(T):
-            if B > 0:
-                dinic.add_edge(base + t, base + t + 1, B)
-            for axis, nbr, c in caps:
-                dinic.add_edge(base + t, vid(nbr, t + 1), c)
-
-    # super-source fan-out, aggregated per source event
-    src_count: dict = {}
-    for r in requests:
-        network.check_request(r)
-        if r.arrival > T:
-            continue
-        key = (r.source, r.arrival)
-        src_count[key] = src_count.get(key, 0) + 1
-    for (node, t), cnt in src_count.items():
-        dinic.add_edge(S, vid(node, t), cnt)
-
-    # per-request sinks over the destination window
-    for i, r in enumerate(requests):
-        if r.arrival > T:
-            continue
-        sink = first_sink + i
-        hi = T if r.deadline is None else min(r.deadline, T)
-        # network.dist, not the closed-form r.distance: wrapping axes
-        # shorten the earliest possible arrival
-        lo = r.arrival + network.dist(r.source, r.dest)
-        for t in range(lo, hi + 1):
-            dinic.add_edge(vid(r.dest, t), sink, 1)
-        dinic.add_edge(sink, TT, 1)
-
-    return dinic.max_flow(S, TT)
+    tail, head, cap = _edges(network, T, events, counts, first_copy, widths)
+    graph = csr_matrix((cap, (tail, head)), shape=(vertices, vertices))
+    return int(maximum_flow(graph, vertices - 2, vertices - 1).flow_value)

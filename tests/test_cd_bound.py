@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.offline import BOUND_METHODS, offline_bound
+from repro.baselines.offline import offline_bound
 from repro.network.packet import Request
 from repro.network.topology import GridNetwork, LineNetwork
 from repro.packing.cd import (
@@ -141,8 +141,3 @@ class TestOfflineBoundIntegration:
         with pytest.raises(ValidationError, match="unknown offline bound"):
             offline_bound(line(), [Request((0,), (1,), arrival=0, rid=0)],
                           10, method="psychic")
-
-    def test_bound_methods_constant_matches_run_layer(self):
-        from repro.api.run import BOUND_METHODS as RUN_METHODS
-
-        assert BOUND_METHODS == RUN_METHODS
