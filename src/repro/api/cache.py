@@ -57,8 +57,9 @@ from dataclasses import dataclass
 from repro.util.errors import ValidationError
 
 #: bump when the RunReport JSON layout changes incompatibly; old entries
-#: are then ignored (recomputed and rewritten), not misread
-SCHEMA_VERSION = 1
+#: are then ignored (recomputed and rewritten), not misread.  Version 2
+#: dropped ``meta["kernel"]``
+SCHEMA_VERSION = 2
 
 MODES = ("off", "read", "readwrite")
 

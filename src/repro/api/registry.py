@@ -95,38 +95,12 @@ class RegistryEntry:
         One of ``"vector"`` (a vectorized decision path: a native
         decision-ABI policy, a built-in greedy priority, or the dedicated
         Model 2 vector engine), ``"plan"`` (space-time plan replay),
-        ``"adapter"`` (scalar policy lifted by the batched adapter),
-        ``"yes"`` (legacy boolean metadata) or ``"no"``
-        (engine-independent or reference-only).  Parameters may move an
-        algorithm between paths (e.g. ``edd(adapter=true)`` forces the
-        adapter); the label describes the default.
+        ``"adapter"`` (scalar policy lifted by the batched adapter) or
+        ``"no"`` (engine-independent or reference-only).  Parameters may
+        move an algorithm between paths (e.g. ``edd(adapter=true)`` forces
+        the adapter); the label describes the default.
         """
-        label = self.metadata.get("fast_engine")
-        if label:
-            return str(label)
-        return "yes" if self.metadata.get("supports_fast_engine") else "no"
-
-    @property
-    def supports_fast_engine(self) -> bool:
-        return self.fast_engine != "no"
-
-    @property
-    def kernel(self) -> str:
-        """Whether the algorithm's array path resolves its ticks in the
-        compiled step kernel (:mod:`repro.network.kernel`).
-
-        ``"step"`` when the default configuration's fast/batch path runs
-        the grouped-admission kernel each tick (the vector-decision
-        family: greedy priorities, native ABI policies, the Model 2
-        vector engine); ``"no"`` for plan replay (table lookups, no
-        per-tick ranking), the scalar adapter, and reference-only
-        algorithms.  Derived from the ``fast_engine`` label unless the
-        registration overrides it with explicit ``kernel=`` metadata.
-        """
-        label = self.metadata.get("kernel")
-        if label:
-            return str(label)
-        return "step" if self.fast_engine == "vector" else "no"
+        return str(self.metadata.get("fast_engine") or "no")
 
     @property
     def batch_engine(self) -> str:
@@ -259,8 +233,7 @@ def register_algorithm(name: str, **metadata):
 
     ``fast_engine`` labels how the algorithm runs under
     ``REPRO_ENGINE=fast`` (``"vector"``, ``"plan"``, ``"adapter"`` or
-    ``"no"`` -- see :attr:`RegistryEntry.fast_engine`); the legacy
-    boolean ``supports_fast_engine=True`` is still accepted.
+    ``"no"`` -- see :attr:`RegistryEntry.fast_engine`).
 
     ``batch_policy`` (optional) is a factory ``(**params) -> Policy |
     None`` producing the scenario policy for the stacked ``"batch"``

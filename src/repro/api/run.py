@@ -43,7 +43,6 @@ from repro.api.cache import CacheStats, ResultCache, resolve_mode
 from repro.api.registry import ALGORITHMS, WORKLOADS
 from repro.api.spec import Scenario
 from repro.baselines import offline
-from repro.network import kernel
 from repro.network.engine import resolve_engine_name
 from repro.util.errors import ValidationError
 
@@ -350,12 +349,6 @@ def _report(scenario: Scenario, network, requests, result,
     engine = getattr(result, "engine", None) or resolve_engine_name(scenario.engine)
 
     meta = _jsonable(getattr(result, "plan_meta", {}) or {})
-    # the session's step-kernel selection (numba/numpy).  Deliberately
-    # engine-independent -- reference runs record it too -- because
-    # RunReport equality includes meta and engines share cache entries;
-    # kernels are bit-identical by contract, so the digest excludes this
-    # exactly like it excludes the engine
-    meta["kernel"] = kernel.active_kernel()
     if compute_bound:
         # which surrogate the bound column divides by -- cache replays
         # must only serve reports whose bound method matches the request
@@ -437,17 +430,8 @@ def _run_chunk(args) -> tuple:
     concurrent writers safe: last identical payload wins).  The worker's
     bound hit/miss accounting rides back to the parent, which folds it
     into the batch's ``cache_stats``; chunks never split a same-instance
-    group, so the totals are identical to the serial run's.
-
-    The parent's *active* step kernel rides along too (not just the
-    ``REPRO_KERNEL`` environment): pooled output -- including
-    ``meta["kernel"]`` -- must be bit-identical to the serial run even
-    when the parent activated a kernel programmatically
-    (:func:`repro.network.kernel.using`) and the pool start method does
-    not inherit process state (spawn)."""
-    (scenarios, compute_bound, bound_root, bound_write, kernel_name,
-     bound_method) = args
-    kernel.activate(kernel_name)
+    group, so the totals are identical to the serial run's."""
+    scenarios, compute_bound, bound_root, bound_write, bound_method = args
     store = ResultCache(bound_root) if bound_root is not None else None
     with _bound_io(store, "readwrite" if bound_write else "read",
                    bound_method):
@@ -658,8 +642,7 @@ def run_batch(scenarios, workers: int | None = None, *,
                 chunk_results = pool.map(
                     _run_chunk,
                     [([scenarios[i] for i in chunk], compute_bound,
-                      bound_root, bound_write, kernel.active_kernel(),
-                      bound_method)
+                      bound_root, bound_write, bound_method)
                      for chunk in chunks])
                 for chunk, (reports, bound_stats) in zip(chunks,
                                                          chunk_results):

@@ -554,17 +554,13 @@ def cmd_collect(args) -> int:
 def cmd_list(args) -> int:
     """Print the registries: what can be named in scenarios and flags."""
     from repro.api import TOPOLOGIES
-    from repro.network.kernel import active_kernel, numba_available
 
     print(format_table(
-        ["algorithm", "fast engine", "batch", "kernel", "description"],
-        [[e.name, e.fast_engine, e.batch_engine, e.kernel, e.description]
+        ["algorithm", "fast engine", "batch", "description"],
+        [[e.name, e.fast_engine, e.batch_engine, e.description]
          for e in ALGORITHMS.entries()],
         title="registered algorithms",
     ))
-    print(f"step kernel: {active_kernel()} "
-          f"(numba {'available' if numba_available() else 'not installed'}; "
-          f"select with REPRO_KERNEL=auto|numba|numpy)")
     print()
     print(format_table(
         ["workload", "parameters", "seeded", "description"],

@@ -28,10 +28,8 @@ from repro.network.fast_batch_engine import FastBatchEngine
 from repro.network.engine import (
     BatchEngine,
     Engine,
-    get_default_engine,
     make_engine,
     resolve_engine_name,
-    set_default_engine,
 )
 
 __all__ = [
@@ -49,8 +47,6 @@ __all__ = [
     "SimulationResult",
     "Simulator",
     "execute_plan",
-    "get_default_engine",
     "make_engine",
     "resolve_engine_name",
-    "set_default_engine",
 ]

@@ -22,19 +22,9 @@ scenarios no batch program can express fall back per-scenario, exactly
 like ``"fast"`` falls back to the reference engine.
 
 Resolution order for the engine name: an explicit argument, then the
-``REPRO_ENGINE`` environment variable, then the module default set by
-:func:`set_default_engine` (initially ``"reference"``).  The environment
-hook is how the bench suite runs end to end on either engine without
-threading a flag through every experiment.
-
-Orthogonal to the engine name, the ``REPRO_KERNEL`` environment variable
-(``auto`` | ``numba`` | ``numpy``, see :mod:`repro.network.kernel`)
-selects the *step kernel* backend the array engines resolve each tick
-with: the numba-compiled admission kernel when available, the
-bit-identical pure-numpy body otherwise.  The selection is recorded in
-``RunReport.meta["kernel"]`` and shown by ``repro list``; an explicit
-``numba`` with no numba installed fails loudly rather than silently
-degrading.
+``REPRO_ENGINE`` environment variable, then ``"reference"``.  The
+environment hook is how the bench suite runs end to end on either engine
+without threading a flag through every experiment.
 
 The vectorized decision ABI
 ---------------------------
@@ -97,12 +87,6 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.network.kernel import (  # noqa: F401  (re-exported: the step
-    KERNEL_ENV_VAR,  # kernel is part of the engine-selection surface)
-    KERNEL_NAMES,
-    active_kernel,
-    resolve_kernel_name,
-)
 from repro.network.simulator import SimulationResult
 from repro.util.errors import ValidationError
 
@@ -111,8 +95,6 @@ ENGINE_ENV_VAR = "REPRO_ENGINE"
 
 #: the valid engine names (implementations resolve lazily in make_engine)
 ENGINE_NAMES = ("reference", "fast", "batch")
-
-_default_engine = "reference"
 
 #: encodes ``deadline = infinity`` in the ABI's int64 deadline arrays
 NO_DEADLINE = int(np.iinfo(np.int64).max)
@@ -222,11 +204,6 @@ class VectorPolicy(Protocol):
         ...
 
 
-def is_vector_policy(policy) -> bool:
-    """True when ``policy`` implements the vectorized decision ABI."""
-    return callable(getattr(policy, "decide_vector", None))
-
-
 # -- engine selection -----------------------------------------------------
 
 
@@ -238,25 +215,14 @@ def _check_name(name: str) -> str:
     return name
 
 
-def get_default_engine() -> str:
-    """The engine name used when neither argument nor env var is set."""
-    return _default_engine
-
-
-def set_default_engine(name: str) -> None:
-    """Set the process-wide default engine (any :data:`ENGINE_NAMES`)."""
-    global _default_engine
-    _default_engine = _check_name(name)
-
-
 def resolve_engine_name(engine: str | None = None) -> str:
-    """Resolve ``engine`` via argument > ``REPRO_ENGINE`` > default."""
+    """Resolve ``engine`` via argument > ``REPRO_ENGINE`` > ``"reference"``."""
     if engine is not None:
         return _check_name(engine)
     env = os.environ.get(ENGINE_ENV_VAR)
     if env:
         return _check_name(env)
-    return _default_engine
+    return "reference"
 
 
 def make_engine(network, policy, engine: str | None = None,

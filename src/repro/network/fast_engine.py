@@ -167,10 +167,9 @@ def greedy_masks(view: StepView, keys) -> VectorDecision:
     vector policies (see :mod:`repro.baselines.edd`) build their key
     arrays and delegate the subtle mask construction here, so the
     bit-identity-critical logic exists once.  The ranking and admission
-    themselves run in the selected step kernel
-    (:func:`repro.network.kernel.admit` -- compiled under numba, plain
-    numpy otherwise), which is how both the fast and the stacked batch
-    engine share one native hot loop.
+    themselves run in the step kernel
+    (:func:`repro.network.kernel.admit`), which is how both the fast and
+    the stacked batch engine share one hot loop.
 
     ``view.network`` may be a per-scenario :class:`Network` (scalar
     ``B``/``c``) or the stacked facade of the array loop, whose

@@ -128,6 +128,18 @@ class TestInvalidation:
         again = run_batch([scenario()], cache="readwrite", cache_dir=tmp_path)
         assert again[0] == cold
         assert again.cache_stats.invalid == 1
+        # an entry in the schema-1 layout, whose reports carried
+        # meta["kernel"], must miss: replayed, it would not equal a fresh run
+        legacy_root = tmp_path / "legacy"
+        payload["schema"] = 1
+        payload["report"]["meta"]["kernel"] = "numpy"
+        legacy = legacy_root / "v1" / path.name
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text(json.dumps(payload))
+        replay = run_batch([scenario()], cache="readwrite",
+                           cache_dir=legacy_root)
+        assert (replay.cache_stats.hits, replay.cache_stats.misses) == (0, 1)
+        assert replay[0] == cold and "kernel" not in replay[0].meta
 
     def test_digest_collision_misses(self, tmp_path):
         """An entry whose stored scenario differs from the requested one

@@ -13,14 +13,14 @@ two-phase engine) and the custom-policy paths of the decision ABI
 batched-adapter lift), plus (PR 6) the stacked batch engine:
 heterogeneous ``engine="batch"`` batches -- mixed sizes, horizons,
 policies, duplicates -- must match the serial per-scenario reference
-runs, with identical cache accounting, plus (PR 8) the step-kernel
-dimension: reference == fast == batch under every available kernel
-backend (``numpy`` always, ``numba`` when installed), with the selected
-backend actually recorded in ``meta["kernel"]`` -- the no-silent-fallback
-assert, mirroring the PR-4 adapter check, plus (PR 9) the topology
-family: ring/torus/uniline networks and per-edge ``link_caps`` hotspot
-instances enter every strategy, so the bit-identity net now covers
-wraparound movement and per-edge capacity enforcement.
+runs, with identical cache accounting, and every single stackable
+scenario must match its reference and fast runs too, plus the step
+kernel: fast and batch runs with the kernel swapped for the pure-Python
+oracle of ``tests/test_kernel.py`` still match the reference engine,
+plus the topology family: ring/torus/uniline networks and per-edge
+``link_caps`` hotspot instances enter every strategy, so the
+bit-identity net now covers wraparound movement and per-edge capacity
+enforcement.
 
 A failure here means the cache would serve wrong results -- fix the
 engine divergence before touching the cache.
@@ -28,8 +28,12 @@ engine divergence before touching the cache.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -45,14 +49,11 @@ from repro.api import (
 )
 from repro.api.run import _batch_reason
 from repro.network import kernel
+from test_kernel import oracle_admit, oracle_rank
 
 #: measured RunReport fields that must agree bit-for-bit
 MEASURES = ("requests", "throughput", "bound", "late", "rejected",
             "preempted", "latency_mean", "latency_max", "steps")
-
-#: the step-kernel backends this process can actually run
-KERNEL_MODES = ("numpy", "numba") if kernel.numba_available() \
-    else ("numpy",)
 
 
 def _same(a, b) -> bool:
@@ -161,11 +162,17 @@ def runnable(scenario) -> bool:
                                  HealthCheck.filter_too_much])
 @given(scenarios())
 def test_engines_bit_identical(scenario):
-    """run(s) is identical under engine=reference and engine=fast."""
+    """run(s) is identical under engine=reference, fast and batch."""
     hypothesis.assume(runnable(scenario))
     ref = run(scenario.replace(engine="reference"))
     fast = run(scenario.replace(engine="fast"))
     assert_reports_identical(ref, fast, "reference vs fast")
+    # an explicit all-ineligible batch is the clean-error path (pinned in
+    # tests/test_fast_batch_engine.py), so only stack scenarios the batch
+    # program can express
+    if _batch_reason(scenario) is None:
+        stacked = run_batch([scenario.replace(engine="batch")])[0]
+        assert_reports_identical(ref, stacked, "reference vs batch")
     # and both agree with the digest contract: engine never enters it
     assert scenario.replace(engine="reference").digest() \
         == scenario.replace(engine="fast").digest()
@@ -185,56 +192,56 @@ def test_workers_bit_identical(batch):
         assert_reports_identical(one, many, "serial vs pooled")
 
 
+@contextlib.contextmanager
+def oracle_kernel():
+    """Swap the step kernel's entry points for the pure-Python oracles of
+    ``tests/test_kernel.py``; yields a Counter of the calls they take."""
+    calls = collections.Counter()
+
+    def admit(node_id, axis, d, keys, B, c):
+        calls["admit"] += 1
+        fwd, store = oracle_admit(node_id, axis, keys, B, c)
+        return np.array(fwd, bool), np.array(store, bool)
+
+    def grouped_rank(gid, keys):
+        calls["grouped_rank"] += 1
+        return np.array(oracle_rank(gid, keys), np.int64)
+
+    def injection_order(arrival):
+        calls["injection_order"] += 1
+        arrival = [int(a) for a in arrival]
+        return np.array(sorted(range(len(arrival)),
+                               key=lambda i: (arrival[i], i)), np.int64)
+
+    with mock.patch.object(kernel, "admit", admit), \
+            mock.patch.object(kernel, "grouped_rank", grouped_rank), \
+            mock.patch.object(kernel, "injection_order", injection_order):
+        yield calls
+
+
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.filter_too_much])
-@given(scenarios(), st.sampled_from(KERNEL_MODES))
-def test_kernel_dimension_bit_identical(scenario, mode):
-    """reference == fast == batch under the drawn step-kernel backend,
-    and the drawn backend is what actually ran (``meta["kernel"]``) --
-    no silent fallback, mirroring the PR-4 adapter check."""
+@given(scenarios())
+def test_kernel_dimension_bit_identical(scenario):
+    """reference == fast == batch with the step kernel replaced by a
+    pure-Python oracle that shares none of its code, so the array
+    engines' results rest on the kernel's contract and not on numpy's
+    sort; and a run labelled with an array engine really went through
+    the kernel -- no silent fallback to the reference engine."""
     hypothesis.assume(runnable(scenario))
     stackable = _batch_reason(scenario) is None
-    with kernel.using(mode):
-        ref = run(scenario.replace(engine="reference"))
+    ref = run(scenario.replace(engine="reference"))
+    with oracle_kernel() as calls:
         fast = run(scenario.replace(engine="fast"))
-        # an explicit all-ineligible batch is the clean-error path
-        # (pinned in tests/test_fast_batch_engine.py), so only stack
-        # scenarios the batch program can express
         stacked = run_batch([scenario.replace(engine="batch")])[0] \
             if stackable else None
-    assert ref.meta["kernel"] == mode
-    assert fast.meta["kernel"] == mode
-    assert_reports_identical(ref, fast, f"reference vs fast [{mode}]")
+    assert_reports_identical(ref, fast, "reference vs fast [oracle kernel]")
     if stackable:
-        assert stacked.meta["kernel"] == mode
         assert_reports_identical(ref, stacked,
-                                 f"reference vs batch [{mode}]")
-
-
-@pytest.mark.skipif(
-    len(KERNEL_MODES) == 1,
-    reason="numba is not installed: the numba<->numpy kernel cross-check "
-           "cannot run here (CI's main leg installs numba)")
-@settings(max_examples=15, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.filter_too_much])
-@given(scenarios())
-def test_kernels_bit_identical(scenario):
-    """The same fast-engine run under the numba and numpy backends
-    differs in nothing but the recorded kernel name."""
-    hypothesis.assume(runnable(scenario))
-    with kernel.using("numpy"):
-        base = run(scenario.replace(engine="fast"))
-    with kernel.using("numba"):
-        jit = run(scenario.replace(engine="fast"))
-    for field in MEASURES:
-        assert _same(getattr(base, field), getattr(jit, field)), (
-            f"kernel backends diverged on {field} for {scenario}")
-    assert base.meta["kernel"] == "numpy"
-    assert jit.meta["kernel"] == "numba"
-    strip = lambda meta: {k: v for k, v in meta.items() if k != "kernel"}
-    assert strip(base.meta) == strip(jit.meta)
+                                 "reference vs batch [oracle kernel]")
+    if fast.engine != "reference":
+        assert calls, f"{fast.engine} run never called the kernel"
 
 
 @st.composite

@@ -12,11 +12,7 @@ import pytest
 from repro.baselines.greedy import GreedyPolicy, run_greedy
 from repro.baselines.nearest_to_go import NearestToGoPolicy, run_nearest_to_go
 from repro.core.deterministic import DeterministicRouter
-from repro.network.engine import (
-    make_engine,
-    resolve_engine_name,
-    set_default_engine,
-)
+from repro.network.engine import make_engine, resolve_engine_name
 from repro.network.fast_engine import FastEngine
 from repro.network.packet import Request
 from repro.network.simulator import Decision, Policy, Simulator, execute_plan
@@ -185,14 +181,12 @@ class TestEngineSelection:
         net = LineNetwork(8, buffer_size=1, capacity=1)
         assert isinstance(make_engine(net, GreedyPolicy()), FastEngine)
 
-    def test_default_engine_setting(self):
-        try:
-            set_default_engine("fast")
-            assert resolve_engine_name() == "fast"
-        finally:
-            set_default_engine("reference")
-        with pytest.raises(ValidationError):
-            set_default_engine("warp")
+    def test_default_engine_is_reference(self, monkeypatch):
+        # no argument and no REPRO_ENGINE: nothing else picks an engine
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        assert resolve_engine_name() == "reference"
+        net = LineNetwork(8, buffer_size=1, capacity=1)
+        assert isinstance(make_engine(net, GreedyPolicy()), Simulator)
 
     def test_custom_scalar_policy_runs_on_fast_via_adapter(self):
         # the PR-4 decision ABI: custom scalar policies no longer fall

@@ -1,99 +1,93 @@
-"""Kernel-parity test layer for the compiled step kernel.
+"""Tests for the step kernel, :mod:`repro.network.kernel`.
 
-:mod:`repro.network.kernel` owns the per-tick contention resolve of every
-array engine, with two backends running the same function bodies: the
-numba-compiled kernels and the plain-numpy fallback.  This suite proves
-the contracts the rest of the repo leans on:
+Every array engine resolves its ticks through this module, so this suite
+pins it against an oracle that shares none of its code:
 
-* unit parity: :func:`~repro.network.kernel.grouped_rank` and
-  :func:`~repro.network.kernel.admit` reproduce the historical
-  ``lexsort``-based oracles exactly (randomized, seeded);
-* engine parity: the numba and numpy backends produce byte-identical
-  :class:`~repro.network.simulator.SimulationResult` objects on the seed
-  scenarios (skipped loudly when numba is not installed -- CI's main leg
-  installs it, and the ``kernel-fallback`` leg proves the numpy path);
-* selection semantics: explicit argument > ``REPRO_KERNEL`` > ``auto``,
-  and an explicit ``numba`` with no numba fails loudly (the
-  no-silent-fallback contract, mirrored from the PR-4 adapter);
+* :func:`~repro.network.kernel.grouped_rank` and
+  :func:`~repro.network.kernel.admit` equal a pure-Python oracle -- a
+  per-group ``sorted`` over ``(key tuple, row)`` -- on hypothesis draws
+  (0-300 rows, 1-4 keys with ties, scalar and per-row ``B`` and ``c``)
+  and on fixed seeded cases;
 * the shared injection-order helper (arrival time, stable by request
-  position) that the engines used to duplicate;
-* ``RunReport.meta["kernel"]`` recording -- engine-independent, because
-  engines share cache entries and report equality includes meta;
-* the ``repro list`` / registry surface.
+  position) that the engines used to duplicate.
+
+Engine-level bit-identity (reference == fast == batch), also with the
+kernel swapped for these oracles, is fuzzed in
+``tests/test_differential.py``.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.api import NetworkSpec, Scenario, WorkloadSpec, run_batch
-from repro.api.registry import ALGORITHMS
-from repro.baselines.greedy import GreedyPolicy
-from repro.baselines.nearest_to_go import NearestToGoPolicy
 from repro.network import kernel
-from repro.network.fast_engine import FastEngine
-from repro.network.topology import GridNetwork, LineNetwork
-from repro.util.errors import ValidationError
-from repro.workloads import deadline_requests, uniform_requests
 
-requires_numba = pytest.mark.skipif(
-    not kernel.numba_available(),
-    reason="numba is not installed in this environment, so the compiled "
-           "kernel path cannot run: numba<->numpy parity is NOT verified "
-           "here (CI's main leg installs numba and runs these; the "
-           "kernel-fallback leg covers the numpy path)")
-
-STAT_FIELDS = (
-    "delivered", "late", "rejected", "preempted", "forwards", "stores",
-    "max_link_load", "max_buffer_load", "steps",
-)
-
-MEASURES = ("throughput", "late", "rejected", "preempted", "steps",
-            "latency_mean", "latency_max")
+# -- the oracle: plain Python sorting, no numpy ordering ------------------
 
 
-@pytest.fixture(autouse=True)
-def _restore_kernel():
-    """Whatever a test activates, put the process back afterwards."""
-    previous = kernel.active_kernel()
-    yield
-    kernel.activate(previous)
-
-
-# -- oracles: the historical lexsort implementations ----------------------
+def _sorted_rows(rows, columns):
+    """``rows`` in key order, most significant column first, ties by row."""
+    return sorted(rows, key=lambda r: (tuple(col[r] for col in columns), r))
 
 
 def oracle_rank(gid, keys):
-    """The pre-kernel grouped rank: ``lexsort`` with ``gid`` primary."""
-    gid = np.asarray(gid, dtype=np.int64)
-    keys = tuple(np.asarray(k, dtype=np.int64) for k in keys)
-    n = gid.size
-    rank = np.empty(n, np.int64)
-    if n == 0:
-        return rank
-    order = np.lexsort(tuple(reversed(keys)) + (gid,))
-    g = gid[order]
-    new_group = np.ones(n, dtype=bool)
-    new_group[1:] = g[1:] != g[:-1]
-    starts = np.flatnonzero(new_group)
-    gnum = np.cumsum(new_group) - 1
-    rank[order] = np.arange(n) - starts[gnum]
+    """Rank of each row inside its ``gid`` group, as a list."""
+    columns = [[int(v) for v in key] for key in keys]
+    groups = {}
+    for row, g in enumerate(gid):
+        groups.setdefault(int(g), []).append(row)
+    rank = [0] * len(gid)
+    for rows in groups.values():
+        for position, row in enumerate(_sorted_rows(rows, columns)):
+            rank[row] = position
     return rank
 
 
-def oracle_admit(node_id, axis, d, keys, B, c):
-    """The pre-kernel greedy admission: link ranks then buffer ranks."""
-    node_id = np.asarray(node_id, dtype=np.int64)
-    n = node_id.size
-    B_rows = np.broadcast_to(np.asarray(B, dtype=np.int64), (n,))
-    c_rows = np.broadcast_to(np.asarray(c, dtype=np.int64), (n,))
-    fwd = oracle_rank(node_id * d + np.asarray(axis), keys) < c_rows
-    store = np.zeros(n, dtype=bool)
-    left = np.flatnonzero(~fwd)
-    if left.size:
-        lkeys = tuple(np.asarray(k)[left] for k in keys)
-        lrank = oracle_rank(node_id[left], lkeys)
-        store[left[lrank < B_rows[left]]] = True
+def oracle_admit(node_id, axis, keys, B, c):
+    """Top ``c`` per (node, axis) link forward, top ``B`` leftovers per
+    node store; ``B``/``c`` are scalars or per-row arrays.  Lists out."""
+    n = len(node_id)
+    B_rows = np.broadcast_to(B, (n,)).tolist()
+    c_rows = np.broadcast_to(c, (n,)).tolist()
+    columns = [[int(v) for v in key] for key in keys]
+    links, nodes = {}, {}
+    for row in range(n):
+        links.setdefault((int(node_id[row]), int(axis[row])), []).append(row)
+    fwd = [False] * n
+    for rows in links.values():
+        for position, row in enumerate(_sorted_rows(rows, columns)):
+            fwd[row] = position < c_rows[row]
+    for row in range(n):
+        if not fwd[row]:
+            nodes.setdefault(int(node_id[row]), []).append(row)
+    store = [False] * n
+    for rows in nodes.values():
+        for position, row in enumerate(_sorted_rows(rows, columns)):
+            store[row] = position < B_rows[row]
     return fwd, store
+
+
+@st.composite
+def ticks(draw):
+    """One tick's candidates: ``(node_id, axis, d, keys, B, c)``.
+
+    Small key ranges force ties; ``B`` and ``c`` are each a scalar or a
+    per-row array, ``B`` including 0.
+    """
+    n = draw(st.integers(0, 300))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    node_id = rng.integers(0, draw(st.integers(1, 12)), size=n)
+    axis = rng.integers(0, d, size=n)
+    spread = draw(st.integers(1, 6))
+    keys = tuple(rng.integers(-spread, spread, size=n)
+                 for _ in range(draw(st.integers(1, 4))))
+    B = rng.integers(0, 4, size=n) if draw(st.booleans()) \
+        else draw(st.integers(0, 3))
+    c = rng.integers(1, 4, size=n) if draw(st.booleans()) \
+        else draw(st.integers(1, 3))
+    return node_id, axis, d, keys, B, c
 
 
 def random_case(rng, n, num_keys=3, groups=7):
@@ -106,16 +100,13 @@ def random_case(rng, n, num_keys=3, groups=7):
 
 
 class TestGroupedRankParity:
-    @pytest.mark.parametrize("backend", ["numpy", "numba"])
-    def test_matches_lexsort_oracle(self, backend):
-        if backend == "numba" and not kernel.numba_available():
-            pytest.skip("numba not installed: compiled rank unverified here")
-        rng = np.random.default_rng(42)
-        with kernel.using(backend):
-            for n in (0, 1, 2, 17, 200):
-                gid, keys = random_case(rng, n)
-                got = kernel.grouped_rank(gid, keys)
-                assert np.array_equal(got, oracle_rank(gid, keys)), n
+    @settings(max_examples=200)
+    @given(ticks())
+    def test_matches_sorted_oracle(self, tick):
+        node_id, axis, d, keys, _, _ = tick
+        gid = node_id * d + axis
+        assert kernel.grouped_rank(gid, keys).tolist() \
+            == oracle_rank(gid, keys)
 
     def test_ties_keep_row_order(self):
         # equal keys within a group rank by row position (stability)
@@ -128,26 +119,29 @@ class TestGroupedRankParity:
         rng = np.random.default_rng(3)
         gid = rng.integers(0, 50, size=120).astype(np.int64)
         keys = (rng.permutation(120).astype(np.int64),)
-        assert np.array_equal(kernel.grouped_rank(gid, keys),
-                              oracle_rank(gid, keys))
+        assert kernel.grouped_rank(gid, keys).tolist() \
+            == oracle_rank(gid, keys)
 
 
 class TestAdmitParity:
-    @pytest.mark.parametrize("backend", ["numpy", "numba"])
+    @settings(max_examples=200)
+    @given(ticks())
+    def test_matches_sorted_oracle(self, tick):
+        node_id, axis, d, keys, B, c = tick
+        fwd, store = kernel.admit(node_id, axis, d, keys, B, c)
+        assert (fwd.tolist(), store.tolist()) \
+            == oracle_admit(node_id, axis, keys, B, c)
+
     @pytest.mark.parametrize("B,c", [(0, 1), (1, 1), (2, 1), (1, 3)])
-    def test_scalar_capacities(self, backend, B, c):
-        if backend == "numba" and not kernel.numba_available():
-            pytest.skip("numba not installed: compiled admit unverified here")
+    def test_scalar_capacities(self, B, c):
         rng = np.random.default_rng(7)
-        with kernel.using(backend):
-            for n in (0, 1, 33, 250):
-                node_id = rng.integers(0, 9, size=n).astype(np.int64)
-                axis = rng.integers(0, 2, size=n).astype(np.int64)
-                _, keys = random_case(rng, n)
-                got = kernel.admit(node_id, axis, 2, keys, B, c)
-                want = oracle_admit(node_id, axis, 2, keys, B, c)
-                assert np.array_equal(got[0], want[0])
-                assert np.array_equal(got[1], want[1])
+        for n in (0, 1, 33, 250):
+            node_id = rng.integers(0, 9, size=n).astype(np.int64)
+            axis = rng.integers(0, 2, size=n).astype(np.int64)
+            _, keys = random_case(rng, n)
+            fwd, store = kernel.admit(node_id, axis, 2, keys, B, c)
+            assert (fwd.tolist(), store.tolist()) \
+                == oracle_admit(node_id, axis, keys, B, c)
 
     def test_per_row_capacities(self):
         # the stacked batch facade passes per-row B/c arrays
@@ -158,10 +152,9 @@ class TestAdmitParity:
         _, keys = random_case(rng, n)
         B = rng.integers(0, 3, size=n).astype(np.int64)
         c = rng.integers(1, 3, size=n).astype(np.int64)
-        got = kernel.admit(node_id, axis, 2, keys, B, c)
-        want = oracle_admit(node_id, axis, 2, keys, B, c)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+        fwd, store = kernel.admit(node_id, axis, 2, keys, B, c)
+        assert (fwd.tolist(), store.tolist()) \
+            == oracle_admit(node_id, axis, keys, B, c)
 
     def test_forward_and_store_are_disjoint_and_bounded(self):
         rng = np.random.default_rng(13)
@@ -188,193 +181,3 @@ class TestInjectionOrder:
 
     def test_empty(self):
         assert kernel.injection_order(np.array([], dtype=np.int64)).size == 0
-
-
-# -- selection semantics --------------------------------------------------
-
-
-class TestKernelSelection:
-    def test_explicit_numpy(self):
-        assert kernel.resolve_kernel_name("numpy") == "numpy"
-
-    def test_unknown_selector_rejected(self):
-        with pytest.raises(ValidationError, match="unknown kernel"):
-            kernel.resolve_kernel_name("cuda")
-
-    def test_env_var_resolution(self, monkeypatch):
-        monkeypatch.setenv(kernel.KERNEL_ENV_VAR, "numpy")
-        assert kernel.resolve_kernel_name() == "numpy"
-        monkeypatch.setenv(kernel.KERNEL_ENV_VAR, "bogus")
-        with pytest.raises(ValidationError, match="unknown kernel"):
-            kernel.resolve_kernel_name()
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(kernel.KERNEL_ENV_VAR, "bogus")
-        assert kernel.resolve_kernel_name("numpy") == "numpy"
-
-    def test_auto_resolves_to_a_concrete_backend(self):
-        name = kernel.resolve_kernel_name("auto")
-        assert name in ("numba", "numpy")
-        assert name == ("numba" if kernel.numba_available() else "numpy")
-
-    def test_no_silent_fallback_on_explicit_numba(self, monkeypatch):
-        # the PR-4 adapter contract, mirrored: asking for the compiled
-        # kernel either delivers it or fails loudly -- never a quiet numpy
-        if kernel.numba_available():
-            assert kernel.resolve_kernel_name("numba") == "numba"
-            monkeypatch.setenv(kernel.KERNEL_ENV_VAR, "numba")
-            assert kernel.resolve_kernel_name() == "numba"
-        else:
-            with pytest.raises(ValidationError, match="numba"):
-                kernel.resolve_kernel_name("numba")
-            monkeypatch.setenv(kernel.KERNEL_ENV_VAR, "numba")
-            with pytest.raises(ValidationError, match="numba"):
-                kernel.resolve_kernel_name()
-
-    def test_using_restores_previous_backend(self):
-        before = kernel.active_kernel()
-        with kernel.using("numpy"):
-            assert kernel.active_kernel() == "numpy"
-        assert kernel.active_kernel() == before
-        with pytest.raises(RuntimeError):
-            with kernel.using("numpy"):
-                raise RuntimeError("boom")
-        assert kernel.active_kernel() == before
-
-    def test_activate_reports_concrete_name(self):
-        assert kernel.activate("numpy") == "numpy"
-        assert kernel.active_kernel() == "numpy"
-
-    def test_engine_module_reexports_the_kernel_surface(self):
-        from repro.network import engine
-
-        assert engine.KERNEL_ENV_VAR == kernel.KERNEL_ENV_VAR
-        assert engine.KERNEL_NAMES == kernel.KERNEL_NAMES
-        assert engine.active_kernel() == kernel.active_kernel()
-
-
-# -- engine-level parity --------------------------------------------------
-
-
-SEED_CASES = [
-    # (dims, B, c, policy factory)
-    ((9,), 1, 1, lambda: GreedyPolicy("fifo")),
-    ((12,), 2, 2, lambda: GreedyPolicy("lifo")),
-    ((4, 4), 1, 1, lambda: GreedyPolicy("longest")),
-    ((3, 5), 2, 1, lambda: NearestToGoPolicy()),
-    ((4, 4), 0, 2, lambda: NearestToGoPolicy()),
-]
-
-
-def _build(dims, B, c):
-    if len(dims) == 1:
-        return LineNetwork(dims[0], buffer_size=B, capacity=c)
-    return GridNetwork(dims, buffer_size=B, capacity=c)
-
-
-def _run_fast(net, policy, reqs, horizon, backend):
-    with kernel.using(backend):
-        return FastEngine(net, policy).run(reqs, horizon)
-
-
-def assert_results_identical(a, b):
-    for name in STAT_FIELDS:
-        assert getattr(a.stats, name) == getattr(b.stats, name), name
-    assert a.stats.delivery_times == b.stats.delivery_times
-    assert a.status == b.status
-    assert a.engine == b.engine
-
-
-class TestEngineKernelParity:
-    @requires_numba
-    @pytest.mark.parametrize("dims,B,c,make_policy", SEED_CASES)
-    def test_numba_matches_numpy_bit_identical(self, dims, B, c,
-                                               make_policy):
-        net = _build(dims, B, c)
-        for seed in range(3):
-            reqs = uniform_requests(net, 40, 15, rng=seed)
-            assert_results_identical(
-                _run_fast(net, make_policy(), reqs, 60, "numpy"),
-                _run_fast(net, make_policy(), reqs, 60, "numba"))
-
-    @requires_numba
-    def test_numba_matches_numpy_with_deadlines(self):
-        net = _build((10,), 1, 1)
-        reqs = deadline_requests(net, 50, 20, slack=3, rng=5)
-        assert_results_identical(
-            _run_fast(net, NearestToGoPolicy(), reqs, 80, "numpy"),
-            _run_fast(net, NearestToGoPolicy(), reqs, 80, "numba"))
-
-    @requires_numba
-    def test_batch_engine_parity_across_kernels(self):
-        scenarios = [
-            Scenario(NetworkSpec("grid", (5, 5), 1, 1),
-                     WorkloadSpec("uniform", {"num": 30, "horizon": 24}),
-                     algo, horizon=64, seed=seed, engine="batch")
-            for seed in range(2)
-            for algo in ("greedy", "ntg")
-        ]
-        with kernel.using("numpy"):
-            base = run_batch(scenarios, cache="off", compute_bound=False)
-        with kernel.using("numba"):
-            jit = run_batch(scenarios, cache="off", compute_bound=False)
-        for a, b in zip(base, jit):
-            assert a.meta["kernel"] == "numpy"
-            assert b.meta["kernel"] == "numba"
-            for field in MEASURES:
-                assert getattr(a, field) == getattr(b, field), field
-
-
-class TestForcedFallback:
-    def test_env_forced_numpy_run(self, monkeypatch):
-        # a run forced onto the fallback stays bit-identical to the
-        # reference engine and records the forced backend in its meta
-        monkeypatch.setenv(kernel.KERNEL_ENV_VAR, "numpy")
-        kernel.activate()
-        assert kernel.active_kernel() == "numpy"
-        scenario = Scenario(
-            NetworkSpec("grid", (6, 6), 1, 1),
-            WorkloadSpec("uniform", {"num": 60, "horizon": 24}),
-            "greedy", horizon=64, seed=9)
-        fast, ref = run_batch(
-            [scenario.replace(engine="fast"),
-             scenario.replace(engine="reference")],
-            cache="off", compute_bound=False)
-        assert fast.meta["kernel"] == "numpy"
-        assert ref.meta["kernel"] == "numpy"
-        for field in MEASURES:
-            assert getattr(fast, field) == getattr(ref, field), field
-
-    def test_meta_records_active_kernel_on_every_engine(self):
-        # engine-independent by design: engines share cache entries and
-        # report equality includes meta, so reference runs record the
-        # kernel name too
-        scenario = Scenario(
-            NetworkSpec("line", (8,), 1, 1),
-            WorkloadSpec("uniform", {"num": 20, "horizon": 16}),
-            "ntg", horizon=40, seed=1)
-        with kernel.using("numpy"):
-            reports = run_batch(
-                [scenario.replace(engine=e) for e in ("reference", "fast")],
-                cache="off", compute_bound=False)
-            assert all(r.meta["kernel"] == "numpy" for r in reports)
-
-
-# -- the registry / CLI surface -------------------------------------------
-
-
-class TestKernelSurface:
-    def test_registry_kernel_labels(self):
-        assert ALGORITHMS.get("greedy").kernel == "step"
-        assert ALGORITHMS.get("ntg").kernel == "step"
-        assert ALGORITHMS.get("ntg-model2").kernel == "step"
-        assert ALGORITHMS.get("det").kernel == "no"
-        assert ALGORITHMS.get("rand").kernel == "no"
-
-    def test_cli_list_shows_kernel_column(self, capsys):
-        from repro.cli import main
-
-        assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "kernel" in out
-        assert f"step kernel: {kernel.active_kernel()}" in out

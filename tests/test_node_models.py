@@ -134,7 +134,6 @@ class TestScenarioParity:
         from repro.api import ALGORITHMS
 
         entry = ALGORITHMS.get("ntg-model2")
-        assert entry.supports_fast_engine
         assert entry.fast_engine == "vector"
         net = LineNetwork(4, buffer_size=1, capacity=2)
         assert entry.unavailable(net, 10) is not None  # c must be 1
