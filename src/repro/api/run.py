@@ -140,26 +140,34 @@ def _jsonable(value):
     rather than dropped -- dropping them would erase the counter on
     *both* sides of the live-vs-replay comparison and hide the loss from
     the equality check.  Other key types still drop the entry.
+
+    The result shares no dict or list with ``value``.  Scalars are
+    returned without a recursive call: every cache replay copies its
+    report's ``meta`` through here.
     """
-    if isinstance(value, (str, int, float, bool)) or value is None:
+    if isinstance(value, _SCALARS):
         return value
     if isinstance(value, dict):
         out = {}
         for k, v in value.items():
-            if isinstance(k, (bool, int)):
+            if not isinstance(k, str):
+                if not isinstance(k, int):
+                    continue
                 k = str(k)  # deterministic: 5 -> "5", True -> "True"
-            elif not isinstance(k, str):
-                continue
-            v = _jsonable(v)
-            if v is not _DROP:
-                out[k] = v
+            if not isinstance(v, _SCALARS):
+                v = _jsonable(v)
+                if v is _DROP:
+                    continue
+            out[k] = v
         return out
     if isinstance(value, (list, tuple)):
-        items = [_jsonable(v) for v in value]
+        items = [v if isinstance(v, _SCALARS) else _jsonable(v)
+                 for v in value]
         return [v for v in items if v is not _DROP]
     return _DROP
 
 
+_SCALARS = (str, int, float, bool, type(None))
 _DROP = object()
 
 
@@ -250,7 +258,7 @@ class RunReport:
             "engine": self.engine,
             "wall_time": self.wall_time,
             "engine_time": self.engine_time,
-            "meta": self.meta,
+            "meta": _jsonable(self.meta),  # a fresh copy: the report is frozen
         }
 
     @classmethod
@@ -270,7 +278,7 @@ class RunReport:
             engine=data["engine"],
             wall_time=float(data.get("wall_time", 0.0)),
             engine_time=float(data.get("engine_time", 0.0)),
-            meta=dict(data.get("meta", {})),
+            meta=_jsonable(data.get("meta", {})),  # shares nothing with data
         )
 
     def summary(self) -> str:

@@ -335,11 +335,13 @@ class Network:
         d-dimensional grid ``p_max = 2 diam(G) (1 + n(B/c + d))``.  Both are
         instances of ``(nu + 2) diam(G)`` from Lemma 2 (up to rounding).
         On heterogeneous networks the minimum capacity is the binding one.
+        A grid of diameter 0 still gets ``p_max = 1``: a path with no edges
+        is legal, and the path packing needs ``p_max >= 1``.
         """
         n, B, c, d = self.n, self.buffer_size, self.min_capacity, self.d
         if d == 1:
             return math.ceil(2 * n * (1 + n * (B / c + 1)))
-        return math.ceil(2 * self.diameter * (1 + n * (B / c + d)))
+        return max(1, math.ceil(2 * self.diameter * (1 + n * (B / c + d))))
 
     def tile_side_k(self, pmax: int | None = None) -> int:
         """Tile side ``k = ceil(log2(1 + 3 p_max))`` (Section 5, Parameters)."""

@@ -7,14 +7,24 @@ destination", where a path is legal when it has at most ``p_max`` edges.
 Two oracles are provided:
 
 * :func:`lightest_path` -- Dijkstra with lexicographic cost
-  ``(weight, hops)``.  On the monotone grid DAGs used here, all paths
-  between fixed endpoints have (nearly) equal hop counts, so breaking
-  weight ties by hops and verifying the cap afterwards is exact in
-  practice; a violation is reported to the caller, which rejects the
-  request (a conservative outcome).
+  ``(weight, hops)``; the hop cap is checked on the path it finds, and a
+  violation is reported to the caller, which rejects the request (a
+  conservative outcome).  On the tiled sketch graphs all paths between
+  fixed endpoints have nearly equal hop counts, so this is exact in
+  practice there.  On a space-time graph with one sink per request it is
+  not: every path to one vertex has the same hop count, but the
+  destination copies lie at different times, so the lightest path may
+  end on a late copy past the cap while a heavier, earlier one fits.
 * :func:`hop_bounded_lightest_path` -- exact label-correcting DP over
   ``(node, hops)`` states; exponential state count is avoided because hops
   are bounded.  Used by tests as ground truth on small graphs.
+
+:func:`lightest_path` serves the sketch graphs of ``det`` and the ``rand``
+family, ``ipp-sketch``, and ``theorem13``'s space-time digraph
+(:class:`~repro.core.deterministic.variants.SpaceTimeDigraph`).  ``det2``
+brings its own search on integer ids
+(:meth:`~repro.core.deterministic.frontier.ResidualSpaceTimeDigraph.lightest_path`),
+which returns exactly this oracle's paths on its graph.
 
 Graph protocol: ``graph.out_edges(u) -> iterable[(edge_key, head)]``.
 Weights are supplied by a callable ``weight(edge_key) -> float``.  Sink

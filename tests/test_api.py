@@ -274,6 +274,31 @@ class TestReportEdges:
         # the cache-replay equality this exists for
         assert json.loads(json.dumps(out)) == out
 
+    def _with_meta(self):
+        return self._report(throughput=3, bound=4.0).replace(
+            meta={"ipp": {"accepted": 3, "rejected": 1}, "k": [1, 2]})
+
+    def test_to_dict_does_not_alias_meta(self):
+        # mutating the dict must not reach into the frozen report
+        report = self._with_meta()
+        data = report.to_dict()
+        data["meta"]["ipp"]["accepted"] = 99
+        data["meta"]["k"].append(3)
+        data["meta"]["extra"] = True
+        assert report.meta == {"ipp": {"accepted": 3, "rejected": 1},
+                               "k": [1, 2]}
+        assert report == self._with_meta()
+
+    def test_from_dict_does_not_alias_meta(self):
+        from repro.api.run import RunReport
+
+        data = json.loads(json.dumps(self._with_meta().to_dict()))
+        report = RunReport.from_dict(data)
+        assert report == self._with_meta()
+        data["meta"]["ipp"]["accepted"] = 99
+        data["meta"]["k"].append(3)
+        assert report == self._with_meta()
+
 
 class TestRunBatch:
     def test_workers_bit_identical_to_serial(self):

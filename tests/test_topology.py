@@ -127,6 +127,11 @@ class TestPaperParameters:
         expected = math.ceil(2 * net.diameter * (1 + 16 * (1 + 2)))
         assert net.pmax() == expected
 
+    def test_pmax_at_least_one_on_a_point_grid(self):
+        # diameter 0 zeroes the grid formula; a path with no edges is legal
+        assert GridNetwork((1, 1), buffer_size=2, capacity=2).pmax() == 1
+        assert GridNetwork((1, 1, 1)).pmax() == 1
+
     def test_tile_side_log(self):
         net = LineNetwork(16, buffer_size=3, capacity=3)
         k = net.tile_side_k()
