@@ -21,7 +21,7 @@ Layout
   randomized Section 7, special-case variants).
 * :mod:`repro.baselines` -- greedy and nearest-to-go.
 * :mod:`repro.workloads` -- synthetic and adversarial request generators.
-* :mod:`repro.analysis` -- competitive-ratio measurement harness.
+* :mod:`repro.analysis` -- bench output: result tables and ASCII figures.
 * :mod:`repro.api` -- the declarative Scenario layer: registries of
   algorithms/workloads/topologies, JSON-round-trippable run specs, and
   the batch runner every CLI command and bench sits on.

@@ -1,7 +1,11 @@
-"""Experiment harness: metrics, runners, tables and ASCII rendering."""
+"""Bench output: the result-table formatter and the ASCII renderers.
 
-from repro.analysis.metrics import competitive_ratio, evaluate_plan, evaluate_policy
-from repro.analysis.runner import ExperimentResult, run_trials, sweep
+Runs are measured by :func:`repro.api.run` and
+:func:`repro.api.run_batch`, whose :class:`~repro.api.run.RunReport`
+carries throughput, the offline bound and the competitive ratio; this
+package only presents results.
+"""
+
 from repro.analysis.tables import format_table
 from repro.analysis.viz import (
     render_sketch_loads,
@@ -10,14 +14,8 @@ from repro.analysis.viz import (
 )
 
 __all__ = [
-    "ExperimentResult",
-    "competitive_ratio",
-    "evaluate_plan",
-    "evaluate_policy",
     "format_table",
     "render_sketch_loads",
     "render_spacetime",
     "render_tile_quadrants",
-    "run_trials",
-    "sweep",
 ]

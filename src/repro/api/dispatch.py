@@ -46,7 +46,7 @@ import pathlib
 
 from repro.api.cache import CacheStats
 from repro.api.run import BatchResult, RunReport, run_batch
-from repro.api.spec import Scenario
+from repro.api.spec import Scenario, point_digest
 from repro.util.errors import ValidationError
 
 #: bump when the manifest / result-file layout changes incompatibly
@@ -75,8 +75,6 @@ def batch_digest(scenarios) -> str:
     different batch (or the same scenarios in a different order) is
     detected at merge time.
     """
-    from repro.analysis.runner import point_digest
-
     scenarios = _coerce_scenarios(scenarios)
     digests = tuple(s.digest() for s in scenarios)
     return f"{point_digest(('batch', digests)):08x}"
@@ -342,25 +340,6 @@ def _iter_shard_result(path):
         if stats is not None:
             stats = CacheStats(**stats)
         yield "footer", stats
-
-
-def _read_shard_result(path) -> tuple:
-    """Parse one result file into ``(header, {index: report}, stats)``.
-
-    Convenience wrapper over the streaming :func:`_iter_shard_result`
-    (which :func:`merge` consumes directly to stay memory-bounded).
-    """
-    header = None
-    reports: dict = {}
-    stats = None
-    for item in _iter_shard_result(path):
-        if item[0] == "header":
-            header = item[1]
-        elif item[0] == "report":
-            reports[item[1]] = item[2]
-        else:
-            stats = item[1]
-    return header, reports, stats
 
 
 def _expand_result_files(result_files) -> list:

@@ -272,8 +272,9 @@ def planner_adapter(factory, label: str, takes_rng: bool = False):
 
     The adapter routes the requests, replays the plan through the selected
     simulation engine, and raises :class:`~repro.util.errors.ReproError`
-    when the plan and the simulation disagree -- the same cross-check the
-    integration tests perform.
+    when the plan and the simulation disagree, naming the first ten
+    planned-only and simulated-only request ids -- the same cross-check
+    the integration tests perform.
     """
 
     def runner(network, requests, horizon, *, rng=None, engine=None, **params):
@@ -286,7 +287,13 @@ def planner_adapter(factory, label: str, takes_rng: bool = False):
         result = execute_plan(network, plan.all_executable_paths(), requests,
                               horizon, engine=engine)
         if not plan.consistent_with_simulation(result):
-            raise ReproError(f"{label}: plan/simulation mismatch")
+            planned = plan.delivered_ids()
+            simulated = result.delivered_ids()
+            raise ReproError(
+                f"{label}: plan/simulation mismatch: planned-only="
+                f"{sorted(planned - simulated)[:10]} simulated-only="
+                f"{sorted(simulated - planned)[:10]}"
+            )
         # surface the router's accounting (framework/detailed counters,
         # tile side k, ...) to RunReport.meta -- what lets the benches
         # read per-part breakdowns without re-running the router

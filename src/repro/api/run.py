@@ -7,10 +7,9 @@ simulation engine, computes the offline bound, and returns a
 and bench prints from.
 
 :func:`run_batch` is the fan-out primitive: it shards whole scenarios over
-a process pool (the same machinery as ``analysis.runner.sweep``).  Because
-every scenario derives all of its randomness from its own ``(seed,
-digest)`` -- see :mod:`repro.api.spec` -- batch output is bit-identical to
-the serial run for any worker count.
+a process pool.  Because every scenario derives all of its randomness
+from its own ``(seed, digest)`` -- see :mod:`repro.api.spec` -- batch
+output is bit-identical to the serial run for any worker count.
 
 Scenarios that resolve to the ``"batch"`` engine take a third path:
 eligible ones (see :func:`_batch_reason`) are *stacked* -- the whole

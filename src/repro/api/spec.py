@@ -4,10 +4,11 @@ A :class:`Scenario` is the declarative description of one experiment
 point: *which network*, *which workload*, *which algorithm*, horizon,
 seed, and (optionally) which simulation engine.  Scenarios round-trip
 through plain dicts and JSON (``to_dict``/``from_dict``, ``to_json``/
-``from_json``), hash to a stable cross-process digest (via
-:func:`repro.analysis.runner.point_digest`), and are cheap, picklable
-values -- which is what lets :func:`repro.api.run.run_batch` shard them
-over a process pool without losing determinism.
+``from_json``), hash to a stable cross-process digest (:func:`point_digest`,
+a CRC-32 of the ``repr``, never Python's per-process randomized
+``hash``), and are cheap, picklable values -- which is what lets
+:func:`repro.api.run.run_batch` shard them over a process pool without
+losing determinism.
 
 Seeding contract (extends PR 1): all randomness of a run derives from
 ``(seed, instance_digest)`` where the *instance* digest covers the
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import zlib
 from dataclasses import dataclass
 
 from repro.api.registry import TOPOLOGIES, WORKLOADS
@@ -34,13 +36,10 @@ from repro.util.errors import ValidationError
 from repro.util.rng import spawn_generators
 
 
-def _point_digest(point) -> int:
-    # analysis.runner pulls in the whole analysis package (metrics ->
-    # baselines); importing it lazily keeps repro.api importable from the
-    # provider modules that register themselves here
-    from repro.analysis.runner import point_digest
+def point_digest(point) -> int:
+    """Stable 32-bit digest of a value (replaces randomized ``hash``)."""
+    return zlib.crc32(repr(point).encode("utf-8"))
 
-    return point_digest(point)
 
 _SCALARS = (str, int, float, bool, type(None))
 
@@ -323,7 +322,7 @@ class Scenario:
         return ("instance", self.network.key(), self.workload.key(), self.horizon)
 
     def instance_digest(self) -> int:
-        return _point_digest(self.instance_key())
+        return point_digest(self.instance_key())
 
     def key(self) -> tuple:
         return ("scenario", self.network.key(), self.workload.key(),
@@ -331,7 +330,7 @@ class Scenario:
 
     def digest(self) -> int:
         """Stable cross-process digest (excludes the engine by design)."""
-        return _point_digest(self.key())
+        return point_digest(self.key())
 
     def rngs(self) -> tuple:
         """``(workload_rng, algorithm_rng)`` derived from the seeding

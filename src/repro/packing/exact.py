@@ -24,7 +24,9 @@ def enumerate_paths(graph: SpaceTimeGraph, request, limit: int = DEFAULT_PATH_LI
 
     Paths start at the source event and end the first time every coordinate
     reaches the destination (a packet is removed on arrival, Section 2.1),
-    no later than the deadline/horizon.
+    no later than the deadline/horizon.  The depth-first search keeps an
+    explicit stack, so a long slack cannot exhaust the interpreter's
+    recursion limit before ``limit`` refuses the request.
     """
     src = graph.source_vertex(request)
     if not graph.valid_vertex(src):
@@ -33,8 +35,12 @@ def enumerate_paths(graph: SpaceTimeGraph, request, limit: int = DEFAULT_PATH_LI
     t_hi = graph.horizon if request.deadline is None else min(request.deadline, graph.horizon)
     d = graph.d
     out: list = []
+    moves: list = []
+    # (vertex, its untried moves) for every vertex on the current path
+    stack: list = []
 
-    def rec(v, moves):
+    def visit(v) -> bool:
+        """Record a path ending at ``v`` or push ``v``; True when pushed."""
         if len(out) >= limit:
             raise ValidationError(
                 f"more than {limit} candidate paths for {request}; "
@@ -42,23 +48,32 @@ def enumerate_paths(graph: SpaceTimeGraph, request, limit: int = DEFAULT_PATH_LI
             )
         if v[:-1] == b:
             out.append(STPath(src, tuple(moves), rid=request.rid))
-            return
+            return False
         if graph.vertex_time(v) >= t_hi:
-            return
-        for move in graph.moves_from(v):
-            head = graph.move_head(v, move)
-            # prune moves that overshoot the destination or the deadline
-            if move < d and head[move] > b[move]:
-                continue
-            if graph.vertex_time(head) + sum(
-                bb - hh for bb, hh in zip(b, head[:-1])
-            ) > t_hi:
-                continue
-            moves.append(move)
-            rec(head, moves)
-            moves.pop()
+            return False
+        stack.append((v, graph.moves_from(v)))
+        return True
 
-    rec(src, [])
+    visit(src)
+    while stack:
+        v, untried = stack[-1]
+        move = next(untried, None)
+        if move is None:
+            stack.pop()
+            if moves:
+                moves.pop()
+            continue
+        head = graph.move_head(v, move)
+        # prune moves that overshoot the destination or the deadline
+        if move < d and head[move] > b[move]:
+            continue
+        if graph.vertex_time(head) + sum(
+            bb - hh for bb, hh in zip(b, head[:-1])
+        ) > t_hi:
+            continue
+        moves.append(move)
+        if not visit(head):
+            moves.pop()
     return out
 
 

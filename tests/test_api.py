@@ -6,6 +6,9 @@ across serialization round-trips, process-pool sharding, and engines.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -172,6 +175,79 @@ class TestSpecs:
             [(r.source, r.dest, r.arrival) for r in reqs_b]
 
 
+#: scenarios whose digests were computed once and must never change: the
+#: digest keys the result cache, the bound cache, shard manifests and
+#: queue chunks
+PINNED = [
+    (Scenario(network=NetworkSpec("line", (16,), 2, 2),
+              workload=WorkloadSpec("uniform", {"num": 24, "horizon": 16}),
+              algorithm="ntg", horizon=64),
+     0xc9802b9e, 0xb6da8940),
+    (Scenario(network=NetworkSpec("line", (16,), 3, 3,
+                                  link_caps=[[[5], 0, 1]]),
+              workload=WorkloadSpec("deadline",
+                                    {"num": 20, "horizon": 16, "slack": 3}),
+              algorithm=AlgorithmSpec("rand", {"lam": 0.5}), horizon=64,
+              seed=7, engine="fast"),
+     0x89ea9aa8, 0xa80a6247),
+]
+
+#: prints the digests of the batch in argv[1] (scenario dicts as JSON),
+#: its batch digest, its pooled reports without the timing fields, and
+#: the repro.analysis modules loaded by then
+_DIGEST_SCRIPT = """
+import json
+import sys
+
+from repro.api import Scenario, run_batch
+from repro.api.dispatch import batch_digest
+
+scenarios = [Scenario.from_dict(data) for data in json.loads(sys.argv[1])]
+for scenario in scenarios:
+    print(f"{scenario.digest():08x} {scenario.instance_digest():08x}")
+print(batch_digest(scenarios))
+for report in run_batch(scenarios, workers=2):
+    data = report.to_dict()
+    del data["wall_time"], data["engine_time"]
+    print(json.dumps(data, sort_keys=True))
+print(sorted(name for name in sys.modules if name.startswith("repro.analysis")))
+"""
+
+
+class TestDigestStability:
+    def test_pinned_digests(self):
+        for scenario, digest, instance_digest in PINNED:
+            assert scenario.digest() == digest
+            assert scenario.instance_digest() == instance_digest
+
+    def _run_with_hashseed(self, hashseed: str, scenarios) -> str:
+        batch = json.dumps([s.to_dict() for s in scenarios])
+        proc = subprocess.run(
+            [sys.executable, "-c", _DIGEST_SCRIPT, batch],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONHASHSEED=hashseed,
+                     PYTHONPATH=os.pathsep.join(sys.path)))
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_stable_across_hash_randomization(self):
+        # hash(str) differs between the two processes; digests, the batch
+        # digest and the pooled reports must not
+        scenarios = [scenario for scenario, _, _ in PINNED] + [
+            line_scenario(name, n=12, B=3, c=3, num=18, seed=seed)
+            for name in ("greedy", "rand", "det2")
+            for seed in range(2)
+        ]
+        a = self._run_with_hashseed("12345", scenarios)
+        b = self._run_with_hashseed("54321", scenarios)
+        assert a == b
+        lines = a.splitlines()
+        assert lines[:2] == [f"{d:08x} {i:08x}" for _, d, i in PINNED]
+        assert sum(line.startswith("{") for line in lines) == len(scenarios)
+        # run and run_batch measure on their own: no repro.analysis import
+        assert lines[-1] == "[]"
+
+
 class TestRun:
     def test_report_shape(self):
         report = run(line_scenario())
@@ -262,6 +338,11 @@ class TestReportEdges:
         report = self._report(throughput=0, bound=0.0)
         assert report.goodput == 1.0
         assert report.ratio == 1.0
+
+    def test_zero_throughput_positive_bound(self):
+        report = self._report(throughput=0, bound=10.0)
+        assert report.ratio == math.inf
+        assert report.goodput == 0.0
 
     def test_jsonable_coerces_non_string_dict_keys(self):
         from repro.api.run import _jsonable

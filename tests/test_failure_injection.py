@@ -1,14 +1,15 @@
 """Failure injection: corrupted plans and hostile inputs must be caught.
 
-The plan/simulator cross-check is the safety net of the whole
-reproduction; these tests corrupt plans in targeted ways and assert the
-net catches each one.
+The plan/simulator cross-check in ``planner_adapter`` is the safety net of
+the whole reproduction: every planning router's plan is replayed through
+the engine on every run.  These tests corrupt plans in targeted ways and
+assert the net catches each one.
 """
 
 import pytest
 
-from repro.analysis.metrics import evaluate_plan
-from repro.core.base import Plan, RouteOutcome
+from repro.api.registry import planner_adapter
+from repro.core.base import Plan, RouteOutcome, Router
 from repro.core.deterministic import DeterministicRouter
 from repro.network.packet import Request
 from repro.network.simulator import execute_plan
@@ -28,6 +29,19 @@ def routed(net):
     reqs = uniform_requests(net, 25, 16, rng=0)
     plan = DeterministicRouter(net, 64).route(reqs)
     return reqs, plan
+
+
+def _adapter_returning(plan):
+    """A registry algorithm whose planning router hands back ``plan``."""
+
+    class FixedRouter(Router):
+        def __init__(self, network, horizon):
+            pass
+
+        def route(self, requests):
+            return plan
+
+    return planner_adapter(FixedRouter, "corrupted")
 
 
 class TestCorruptedPlans:
@@ -61,16 +75,21 @@ class TestCorruptedPlans:
             pytest.skip("trivial path drawn")
         # truncate the path one move early but keep claiming delivery
         plan.paths[rid] = STPath(path.start, path.moves[:-1], rid=rid)
-        with pytest.raises(ReproError):
-            evaluate_plan(net, plan, reqs, 64)
+        run = _adapter_returning(plan)
+        for engine in ("reference", "fast"):
+            with pytest.raises(ReproError, match=r"corrupted: plan/simulation "
+                               rf"mismatch: planned-only=\[{rid}\] "
+                               r"simulated-only=\[\]"):
+                run(net, reqs, 64, engine=engine)
 
     def test_foreign_claimed_delivery_detected(self, net):
         reqs = [Request.line(0, 5, 0, rid=0)]
         plan = Plan()
         # claim rid 0 delivered via a path that belongs to nobody
         plan.record(0, RouteOutcome.DELIVERED, STPath((0, 0), (), rid=0))
-        with pytest.raises(ReproError):
-            evaluate_plan(net, plan, reqs, 64)
+        with pytest.raises(ReproError, match=r"planned-only=\[0\] "
+                           r"simulated-only=\[\]"):
+            _adapter_returning(plan)(net, reqs, 64)
 
     def test_plan_with_invalid_vertex_rejected_by_checker(self, net):
         from repro.spacetime.graph import SpaceTimeGraph

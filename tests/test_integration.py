@@ -15,7 +15,6 @@ from repro import (
     run_greedy,
     run_nearest_to_go,
 )
-from repro.analysis.metrics import evaluate_plan
 from repro.workloads import (
     bursty_requests,
     deadline_requests,
@@ -86,9 +85,10 @@ class TestRatiosSane:
     def test_deterministic_ratio_reasonable_light_load(self):
         net = LineNetwork(32, buffer_size=3, capacity=3)
         reqs = uniform_requests(net, 25, 48, rng=8)
-        plan = DeterministicRouter(net, 160).route(reqs)
-        ev = evaluate_plan(net, plan, reqs, 160)
-        assert 1.0 <= ev.ratio < 8.0
+        plan = assert_replay(net, DeterministicRouter(net, 160), reqs, 160)
+        assert plan.throughput > 0
+        ratio = offline_bound(net, reqs, 160) / plan.throughput
+        assert 1.0 <= ratio < 8.0
 
     def test_online_below_bound_everywhere(self):
         net = LineNetwork(16, buffer_size=2, capacity=1)
