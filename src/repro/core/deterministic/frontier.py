@@ -8,8 +8,7 @@ over tiles (paying the tiling constants) or splitting every capacity
 improved router runs the online primal-dual path packing *directly on
 the space-time graph with the true per-edge capacities*.
 
-Two changes relative to :class:`~repro.core.deterministic.variants.
-LargeCapacityRouter` implement that frontier here:
+Two properties implement that frontier here:
 
 * **True capacities.** Edge capacities come from
   :meth:`~repro.network.topology.Network.capacity_of` per tail node and
@@ -22,6 +21,11 @@ LargeCapacityRouter` implement that frontier here:
   construction: every plan the router emits replays on the simulator
   without preemption or capacity violations, for any ``B >= 0`` and
   ``c >= 1`` (no ``B, c >= 3`` side condition).
+
+Theorem 13 (:class:`~repro.core.deterministic.variants.LargeCapacityRouter`)
+is this router with both properties undone: every edge carries the
+scaled capacity ``min_capacity // k`` or ``B // k``, and saturated edges
+stay visible, so loads may pass the scaled capacity as the theorem allows.
 
 The search runs on integer vertex and edge ids and only where the
 request's destination is still reachable (see
@@ -61,10 +65,12 @@ class ResidualSpaceTimeDigraph:
 
     **Residual capacities.**  Axis moves carry
     :meth:`~repro.network.topology.Network.capacity_of` of their tail node,
-    buffer moves carry ``B``.  ``flow`` and ``x`` are bound to the packer's
-    integral loads and edge weights after construction; an edge whose load
-    has reached its capacity is invisible to :meth:`lightest_path`, so the
-    packing's load ratio stays ``<= 1``.
+    buffer moves carry ``B``; ``caps``, one capacity per move (the axis
+    moves, then the buffer move), replaces them at every node.  ``x`` is
+    bound to the packer's edge weights after construction.  An edge whose
+    ``flow`` has reached its capacity is invisible to :meth:`lightest_path`:
+    bound to the packer's integral loads, ``flow`` keeps the packing's load
+    ratio ``<= 1``; left empty, it hides only the zero-capacity edges.
 
     **Pruning.**  A path of request ``r`` must end on a destination copy
     ``(dest, t')`` with ``arrival + dist(source, dest) <= t' <=
@@ -83,22 +89,25 @@ class ResidualSpaceTimeDigraph:
     with one sink node per request.
     """
 
-    def __init__(self, graph: SpaceTimeGraph):
+    def __init__(self, graph: SpaceTimeGraph, caps: tuple | None = None):
         network, d = graph.network, graph.d
         self.graph = graph
         self.moves = d + 1  # edge ids per vertex
         self.times = graph.horizon + 1  # vertex ids per node
-        self.flow: dict = {}  # bound to OnlinePathPacking.flow by the router
+        self.flow: dict = {}  # OnlinePathPacking.flow, bound by det2's router
         self.x: dict = {}  # bound to OnlinePathPacking.x by the router
         # node index -> coordinates, the sum of its coordinates (untilted
         # column = t - level), and its capacities per move
         self._coords = list(network.nodes())
         self._level = [sum(node) for node in self._coords]
-        self._caps = [
-            (*(network.capacity_of(node, axis) for axis in range(d)),
-             network.buffer_size)
-            for node in self._coords
-        ]
+        if caps is None:
+            self._caps = [
+                (*(network.capacity_of(node, axis) for axis in range(d)),
+                 network.buffer_size)
+                for node in self._coords
+            ]
+        else:
+            self._caps = [tuple(caps)] * len(self._coords)
         self._steps = [1] * self.moves
         stride = self.times
         for axis in reversed(range(d)):
@@ -144,6 +153,10 @@ class ResidualSpaceTimeDigraph:
         Returns ``None`` when no copy is reachable, or when the lightest
         path has more than ``max_hops`` hops.
         """
+        if self.slack(request) < 0:
+            # the source lies past the region; an axis move from it could
+            # step past the horizon, onto the next node's time-0 vertex id
+            return None
         times, steps = self.times, self._steps
         coords, level, caps = self._coords, self._level, self._caps
         flow, x = self.flow.get, self.x.get
@@ -248,13 +261,19 @@ class ImprovedDeterministicRouter(Router):
             moves = tuple(edge % self.digraph.moves for edge in path.edges)
             plan.record(r.rid, RouteOutcome.DELIVERED,
                         STPath(src, moves, rid=r.rid))
-        plan.meta["algorithm"] = "det2-frontier"
-        plan.meta["ipp"] = {
-            "accepted": self.ipp.stats.accepted,
-            "rejected": self.ipp.stats.rejected,
-            "max_load_ratio": self.ipp.max_load_ratio(),
-        }
+        plan.meta.update(self.meta())
         return plan
+
+    def meta(self) -> dict:
+        """The plan's ``meta``: the algorithm and the packer's counts."""
+        return {
+            "algorithm": "det2-frontier",
+            "ipp": {
+                "accepted": self.ipp.stats.accepted,
+                "rejected": self.ipp.stats.rejected,
+                "max_load_ratio": self.ipp.max_load_ratio(),
+            },
+        }
 
 
 # -- registry entry ---------------------------------------------------------

@@ -8,21 +8,23 @@
   capacities down by ``k``, run IPP directly on the space-time graph, and
   the ``(2, k)``-competitive packing for the scaled capacities is an
   ``(O(k), 1)``-packing for the true ones.  Packets are rejected or routed,
-  never preempted.
+  never preempted.  The packing is det2's
+  (:class:`~repro.core.deterministic.frontier.ImprovedDeterministicRouter`)
+  on the scaled capacities, with saturated edges left visible.
 """
 
 from __future__ import annotations
 
-import math
-
 from repro.core.base import Plan, RouteOutcome, Router
+from repro.core.deterministic.frontier import (
+    ImprovedDeterministicRouter,
+    ResidualSpaceTimeDigraph,
+)
 from repro.network.topology import LineNetwork, Network
 from repro.packing.interval import Interval, OnlineIntervalPacker
 from repro.packing.ipp import OnlinePathPacking
 from repro.spacetime.graph import STPath, SpaceTimeGraph
 from repro.util.errors import ValidationError
-
-INF = math.inf
 
 
 class BufferlessLineRouter(Router):
@@ -114,62 +116,16 @@ class BufferlessLineRouter(Router):
         return plan
 
 
-class SpaceTimeDigraph:
-    """Digraph adapter exposing a space-time graph to the IPP algorithm.
-
-    Nodes are ``("v", vertex)`` plus per-request sinks; edge keys are
-    ``("e", tail, move)`` with the *scaled* capacities of Theorem 13 and
-    ``("k", vertex, rid)`` sink edges of infinite capacity.
-    """
-
-    def __init__(self, graph: SpaceTimeGraph, buffer_cap: int, link_cap: int):
-        self.graph = graph
-        self.buffer_cap = int(buffer_cap)
-        self.link_cap = int(link_cap)
-        self._sink_edges: dict = {}  # vertex -> [(edge_key, sink_node)]
-
-    def register_sink(self, request):
-        rid = request.rid
-        node = ("sink", rid)
-        count = 0
-        for col in self.graph.dest_columns(request):
-            v = (*request.dest, col)
-            if not self.graph.valid_vertex(v):
-                continue
-            if self.graph.vertex_time(v) < request.arrival + \
-                    self.graph.network.dist(request.source, request.dest):
-                continue  # unreachable copies: arrival time physics
-            self._sink_edges.setdefault(v, []).append((("k", v, rid), node))
-            count += 1
-        return node if count else None
-
-    def out_edges(self, node):
-        if node[0] == "sink":
-            return
-        v = node[1]
-        for move in range(self.graph.d + 1):
-            cap = self.buffer_cap if move == self.graph.d else self.link_cap
-            if cap <= 0:
-                continue
-            head = self.graph.move_head(v, move)
-            if self.graph.valid_vertex(head):
-                yield ("e", v, move), ("v", head)
-        yield from self._sink_edges.get(v, ())
-
-    def capacity(self, edge_key) -> float:
-        if edge_key[0] == "k":
-            return INF
-        move = edge_key[2]
-        return self.buffer_cap if move == self.graph.d else self.link_cap
-
-    def is_sink(self, node) -> bool:
-        return node[0] == "sink"
-
-
-class LargeCapacityRouter(Router):
+class LargeCapacityRouter(ImprovedDeterministicRouter):
     """Theorem 13: ``O(log n)``-competitive routing for large ``B`` and
     ``c`` via online path packing on the space-time graph with capacities
-    scaled down by the tile side ``k``.  Non-preemptive."""
+    scaled down by the tile side ``k``.  Non-preemptive.
+
+    det2's router on a digraph whose every axis edge carries
+    ``min_capacity // k`` and every buffer edge ``B // k``.  Its ``flow`` is
+    left unbound, so only zero-capacity edges are hidden: loads may pass
+    the scaled capacities, up to Theorem 1's ``log2(1 + 3 p_max)`` factor.
+    """
 
     def __init__(self, network: Network, horizon: int, k: int | None = None,
                  pmax: int | None = None, strict: bool = True):
@@ -182,42 +138,16 @@ class LargeCapacityRouter(Router):
             raise ValidationError(
                 f"Theorem 13 requires B, c >= k = {self.k}; got B={B}, c={c}"
             )
-        self.digraph = SpaceTimeDigraph(
-            self.graph, buffer_cap=B // self.k, link_cap=c // self.k
-        )
-        self.ipp = OnlinePathPacking(self.digraph, pmax=self.pmax)
+        self.digraph = ResidualSpaceTimeDigraph(
+            self.graph, caps=(c // self.k,) * network.d + (B // self.k,))
+        self.ipp = OnlinePathPacking(
+            self.digraph, pmax=self.pmax,
+            oracle=ResidualSpaceTimeDigraph.lightest_path)
+        self.digraph.x = self.ipp.x
 
-    def route(self, requests) -> Plan:
-        plan = Plan()
-        for r in self.arrival_order(requests):
-            self.network.check_request(r)
-            src = self.graph.source_vertex(r)
-            if r.is_trivial():
-                if self.graph.valid_vertex(src):
-                    plan.record(r.rid, RouteOutcome.DELIVERED, STPath(src, (), rid=r.rid))
-                else:
-                    plan.record(r.rid, RouteOutcome.REJECTED)
-                continue
-            sink = self.digraph.register_sink(r)
-            if sink is None or not self.graph.valid_vertex(src):
-                plan.record(r.rid, RouteOutcome.REJECTED)
-                continue
-            path = self.ipp.route(("v", src), sink)
-            if path is None:
-                plan.record(r.rid, RouteOutcome.REJECTED)
-                continue
-            moves = tuple(
-                edge_key[2] for edge_key in path.edges if edge_key[0] == "e"
-            )
-            plan.record(r.rid, RouteOutcome.DELIVERED, STPath(src, moves, rid=r.rid))
-        plan.meta["algorithm"] = "theorem13-large-capacity"
-        plan.meta["k"] = self.k
-        plan.meta["ipp"] = {
-            "accepted": self.ipp.stats.accepted,
-            "rejected": self.ipp.stats.rejected,
-            "max_load_ratio": self.ipp.max_load_ratio(),
-        }
-        return plan
+    def meta(self) -> dict:
+        return dict(super().meta(), algorithm="theorem13-large-capacity",
+                    k=self.k)
 
 
 # -- registry entries -------------------------------------------------------

@@ -9,15 +9,20 @@
 Theorem 29: for ``B, c in [1, log n]`` the expected competitive ratio is
 ``O(log n)``.  The per-source-event cap of Proposition 14 (at most the
 ``B + c`` closest requests per node and time step) is applied up front.
+
+:class:`RegimeLineRouter` is the pipeline of the two other regimes of
+Table 2 (Sections 7.7 and 7.8), which apply the same cap.
 """
 
 from __future__ import annotations
 
 from repro.core.base import Plan, RouteOutcome, Router
-from repro.core.randomized.far_plus import FarPlusRouter
+from repro.core.deterministic.geometry import plain_sketch_tiles
+from repro.core.randomized.far_plus import NORTH, FarPlusRouter
 from repro.core.randomized.near import NearRouter
 from repro.core.randomized.params import PAPER_GAMMA, RandomizedParams
 from repro.network.topology import Network
+from repro.spacetime.graph import STPath
 from repro.util.rng import as_generator
 
 
@@ -33,6 +38,85 @@ def proposition14_filter(requests, cap: int):
         kept.extend(group[:cap])
         dropped.extend(group[cap:])
     return kept, dropped
+
+
+class RegimeLineRouter(Router):
+    """The pipeline the Section 7.7 and 7.8 routers share.
+
+    After the Proposition 14 filter, every non-trivial request in ``R+``
+    (:meth:`in_r_plus`) goes through online path packing on the plain
+    sketch graph, the sparsification coin ``lam`` and the 1/4 load cap on
+    the sketch edges, then the regime's detailed routing
+    (:meth:`_detailed`).  The counters land in ``plan.meta[meta_key]``.
+    Subclasses build the graph, sketch, packer, ledger and counters.
+    """
+
+    #: the ``plan.meta`` key of the counters
+    meta_key: str
+
+    def route(self, requests) -> Plan:
+        plan = Plan()
+        kept, dropped = proposition14_filter(
+            list(requests), self.network.buffer_size + self.network.min_capacity
+        )
+        for r in self.arrival_order(kept):
+            if r.is_trivial():
+                src = self.graph.source_vertex(r)
+                if self.graph.valid_vertex(src):
+                    plan.record(r.rid, RouteOutcome.DELIVERED, STPath(src, (), rid=r.rid))
+                else:
+                    plan.record(r.rid, RouteOutcome.REJECTED)
+                continue
+            if not self.in_r_plus(r):
+                self.counters["not_rplus"] += 1
+                plan.record(r.rid, RouteOutcome.REJECTED)
+                continue
+            outcome, path = self._route_one(r)
+            plan.record(r.rid, outcome, path)
+        for r in dropped:
+            plan.record(r.rid, RouteOutcome.REJECTED)
+        plan.meta[self.meta_key] = dict(self.counters)
+        return plan
+
+    def _route_one(self, request):
+        src = self.graph.source_vertex(request)
+        if not self.graph.valid_vertex(src):
+            return RouteOutcome.REJECTED, None
+        sink = self.sketch.register_sink(
+            ("dest", request.dest), request.dest, 0, self.graph.horizon
+        )
+        if sink is None:
+            return RouteOutcome.REJECTED, None
+        sketch_path = self.ipp.route(self.sketch.source_node(request), sink)
+        if sketch_path is None:
+            self.counters["ipp_rejected"] += 1
+            return RouteOutcome.REJECTED, None
+        if self.rng.random() >= self.lam:
+            self.counters["coin_rejected"] += 1
+            return RouteOutcome.REJECTED, None
+        edges = [e for e in sketch_path.edges if e[0] == "e"]
+        for e in edges:
+            if (self.sparse_load.get(e, 0) + 1) >= self.sketch.capacity(e) / 4.0:
+                self.counters["load_rejected"] += 1
+                return RouteOutcome.REJECTED, None
+        tiles = plain_sketch_tiles(sketch_path)
+        path = self._detailed(request, src, tiles)
+        if path is None:
+            self.counters["detail_rejected"] += 1
+            return RouteOutcome.REJECTED, None
+        for e in edges:
+            self.sparse_load[e] = self.sparse_load.get(e, 0) + 1
+        self.counters["delivered"] += 1
+        return RouteOutcome.DELIVERED, path
+
+    def _try_run(self, cells, pos, axis, length):
+        v = pos
+        for _ in range(length):
+            if not self.graph.valid_move(v, axis) or self.ledger.residual(axis, v) < 1:
+                return None
+            cells.append((axis, v))
+            v = (v[0] + 1, v[1]) if axis == NORTH else (v[0], v[1] + 1)
+        return v
 
 
 class RandomizedLineRouter(Router):

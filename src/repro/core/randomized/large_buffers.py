@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 
-from repro.core.base import Plan, RouteOutcome, Router
-from repro.core.deterministic.geometry import plain_sketch_tiles, tile_moves
-from repro.core.randomized.combined import proposition14_filter
+from repro.core.deterministic.geometry import tile_moves
+from repro.core.randomized.combined import RegimeLineRouter
 from repro.network.topology import Network
 from repro.packing.ipp import OnlinePathPacking
 from repro.spacetime.graph import STPath, SpaceTimeGraph
@@ -27,8 +26,10 @@ from repro.util.rng import as_generator
 NORTH, EAST = 0, 1
 
 
-class LargeBufferLineRouter(Router):
+class LargeBufferLineRouter(RegimeLineRouter):
     """Theorem 30: O(log n)-competitive routing when ``B/c >= log n``."""
+
+    meta_key = "large_buffers"
 
     def __init__(self, network: Network, horizon: int, rng=None,
                  gamma: float = 200.0, lam: float | None = None,
@@ -67,71 +68,7 @@ class LargeBufferLineRouter(Router):
         v = self.graph.source_vertex(request)
         return self.tiling.local(v)[1] < self.tau // 2
 
-    def route(self, requests) -> Plan:
-        plan = Plan()
-        kept, dropped = proposition14_filter(
-            list(requests), self.network.buffer_size + self.network.min_capacity
-        )
-        for r in self.arrival_order(kept):
-            if r.is_trivial():
-                src = self.graph.source_vertex(r)
-                if self.graph.valid_vertex(src):
-                    plan.record(r.rid, RouteOutcome.DELIVERED, STPath(src, (), rid=r.rid))
-                else:
-                    plan.record(r.rid, RouteOutcome.REJECTED)
-                continue
-            if not self.in_r_plus(r):
-                self.counters["not_rplus"] += 1
-                plan.record(r.rid, RouteOutcome.REJECTED)
-                continue
-            outcome, path = self._route_one(r)
-            plan.record(r.rid, outcome, path)
-        for r in dropped:
-            plan.record(r.rid, RouteOutcome.REJECTED)
-        plan.meta["large_buffers"] = dict(self.counters)
-        return plan
-
-    def _route_one(self, request):
-        src = self.graph.source_vertex(request)
-        if not self.graph.valid_vertex(src):
-            return RouteOutcome.REJECTED, None
-        sink = self.sketch.register_sink(
-            ("dest", request.dest), request.dest, 0, self.graph.horizon
-        )
-        if sink is None:
-            return RouteOutcome.REJECTED, None
-        sketch_path = self.ipp.route(self.sketch.source_node(request), sink)
-        if sketch_path is None:
-            self.counters["ipp_rejected"] += 1
-            return RouteOutcome.REJECTED, None
-        if self.rng.random() >= self.lam:
-            self.counters["coin_rejected"] += 1
-            return RouteOutcome.REJECTED, None
-        edges = [e for e in sketch_path.edges if e[0] == "e"]
-        for e in edges:
-            if (self.sparse_load.get(e, 0) + 1) >= self.sketch.capacity(e) / 4.0:
-                self.counters["load_rejected"] += 1
-                return RouteOutcome.REJECTED, None
-        tiles = plain_sketch_tiles(sketch_path)
-        path = self._detailed(request, src, tiles)
-        if path is None:
-            self.counters["detail_rejected"] += 1
-            return RouteOutcome.REJECTED, None
-        for e in edges:
-            self.sparse_load[e] = self.sparse_load.get(e, 0) + 1
-        self.counters["delivered"] += 1
-        return RouteOutcome.DELIVERED, path
-
     # -- detailed routing over 1-row tiles ---------------------------------
-
-    def _try_run(self, cells, pos, axis, length):
-        v = pos
-        for _ in range(length):
-            if not self.graph.valid_move(v, axis) or self.ledger.residual(axis, v) < 1:
-                return None
-            cells.append((axis, v))
-            v = (v[0] + 1, v[1]) if axis == NORTH else (v[0], v[1] + 1)
-        return v
 
     def _detailed(self, request, src, tiles):
         if len(tiles) < 2:

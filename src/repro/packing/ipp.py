@@ -58,9 +58,6 @@ class OnlinePathPacking:
     oracle:
         Lightest-path function with the signature of
         :func:`repro.packing.oracle.lightest_path`; injectable for tests.
-    strict_caps:
-        When True (default), edges of infinite capacity keep weight zero
-        (their update is a no-op), matching the sink edges of Section 5.1.
     """
 
     def __init__(self, graph, pmax: int, oracle=lightest_path):

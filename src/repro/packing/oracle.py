@@ -19,12 +19,12 @@ Two oracles are provided:
   ``(node, hops)`` states; exponential state count is avoided because hops
   are bounded.  Used by tests as ground truth on small graphs.
 
-:func:`lightest_path` serves the sketch graphs of ``det`` and the ``rand``
-family, ``ipp-sketch``, and ``theorem13``'s space-time digraph
-(:class:`~repro.core.deterministic.variants.SpaceTimeDigraph`).  ``det2``
-brings its own search on integer ids
+:func:`lightest_path` serves the tiled sketch graphs of ``det``, the
+``rand`` family and ``ipp-sketch``.  ``det2`` and ``theorem13`` route on
+the space-time graph itself with their own search on integer ids
 (:meth:`~repro.core.deterministic.frontier.ResidualSpaceTimeDigraph.lightest_path`),
-which returns exactly this oracle's paths on its graph.
+which returns exactly this oracle's paths on that graph with one sink node
+per request.
 
 Graph protocol: ``graph.out_edges(u) -> iterable[(edge_key, head)]``.
 Weights are supplied by a callable ``weight(edge_key) -> float``.  Sink

@@ -6,7 +6,7 @@ Implements Section 3 of the paper:
   ``(v, t)`` and the untilting automorphism ``q`` (Sections 3.1-3.2).
 * :mod:`repro.spacetime.graph` -- :class:`SpaceTimeGraph`, the finite-horizon
   (d+1)-dimensional grid DAG with transmit edges (capacity ``c``) and buffer
-  edges (capacity ``B``), plus numpy-backed load ledgers.
+  edges (capacity ``B``), plus load ledgers that store only charged edges.
 * :mod:`repro.spacetime.tiling` -- :class:`Tiling`: partition of the untilted
   space-time grid into boxes, with phase shifts and quadrants (Sections 3.3,
   7.2).

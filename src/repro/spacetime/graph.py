@@ -14,16 +14,14 @@ A space-time path is a start vertex plus a sequence of moves
 same number of edges, which is why the paper can treat the path-length bound
 ``p_max`` as an analysis device (Lemma 2).
 
-Load accounting is done by :class:`LoadLedger`, a set of numpy arrays (one
-per move kind) indexed by the tail vertex of each edge; per the
-hpc-parallel guides the ledgers are preallocated and updated in place.
+Load accounting is done by :class:`LoadLedger`, one dict per move kind
+mapping the tail vertex of each charged edge to its load; a ledger holds
+only the edges its caller has charged, whatever the size of the graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.network.topology import Network
 from repro.spacetime.coords import time_of
@@ -93,7 +91,7 @@ class SpaceTimeGraph:
     Vertices are tuples ``(x_1..x_d, col)`` with ``x`` a grid node and
     ``0 <= col + sum(x) <= horizon``.  Columns range over
     ``[-sum(dims - 1), horizon]``; :attr:`col_offset` shifts them to
-    non-negative array indices.
+    non-negative indices.
     """
 
     def __init__(self, network: Network, horizon: int):
@@ -203,11 +201,7 @@ class SpaceTimeGraph:
             raise ValidationError(f"no monotone path {v_from} -> {v_to}")
         return sum(b - a for a, b in zip(v_from, v_to))
 
-    # -- array indexing -----------------------------------------------------
-
-    def array_index(self, v: tuple) -> tuple:
-        """Numpy index of vertex ``v`` in a ledger array (space.., col)."""
-        return (*v[:-1], v[-1] + self.col_offset)
+    # -- load ledgers -------------------------------------------------------
 
     def ledger(self, capacity_override: int | None = None) -> "LoadLedger":
         """Create a fresh load ledger for this graph.
@@ -223,17 +217,17 @@ class SpaceTimeGraph:
 class LoadLedger:
     """Per-edge load accounting over a :class:`SpaceTimeGraph`.
 
-    One integer numpy array per move kind, indexed by the *tail* vertex of
-    each edge.  ``capacity_override`` makes every edge capacity equal (used
-    for the unit-capacity tracks of detailed routing); otherwise space edges
-    have capacity ``c`` and buffer edges capacity ``B``.
+    One dict per move kind, mapping the *tail* vertex of each charged edge
+    to its load; an edge never charged has load 0.  ``capacity_override``
+    makes every edge capacity equal (used for the unit-capacity tracks of
+    detailed routing); otherwise space edges have capacity ``c`` and
+    buffer edges capacity ``B``.
     """
 
     def __init__(self, graph: SpaceTimeGraph, capacity_override: int | None = None):
         self.graph = graph
         self.capacity_override = capacity_override
-        shape = (*graph.network.dims, graph.ncols)
-        self._loads = [np.zeros(shape, dtype=np.int32) for _ in range(graph.d + 1)]
+        self._loads = [{} for _ in range(graph.d + 1)]
 
     def capacity(self, move: int) -> int:
         if self.capacity_override is not None:
@@ -241,20 +235,20 @@ class LoadLedger:
         return self.graph.edge_capacity(move)
 
     def load(self, move: int, tail: tuple) -> int:
-        return int(self._loads[move][self.graph.array_index(tail)])
+        return self._loads[move].get(tail, 0)
 
     def residual(self, move: int, tail: tuple) -> int:
         return self.capacity(move) - self.load(move, tail)
 
     def add_edge(self, move: int, tail: tuple, amount: int = 1, strict: bool = True) -> None:
-        idx = self.graph.array_index(tail)
-        new = self._loads[move][idx] + amount
+        loads = self._loads[move]
+        new = loads.get(tail, 0) + amount
         if strict and new > self.capacity(move):
             raise CapacityError(
                 f"edge (move={move}, tail={tail}) exceeds capacity "
                 f"{self.capacity(move)} (load would be {new})"
             )
-        self._loads[move][idx] = new
+        loads[tail] = new
 
     def add_path(self, path: STPath, amount: int = 1, strict: bool = True) -> None:
         """Charge every edge of ``path``; raises on violation when strict."""
@@ -274,14 +268,15 @@ class LoadLedger:
         """Maximum load divided by capacity over all edges (the beta of a
         beta-packing, Section 3.5)."""
         worst = 0.0
-        for move, arr in enumerate(self._loads):
+        for move, loads in enumerate(self._loads):
             cap = self.capacity(move)
             if cap <= 0:
-                if arr.any():
+                if any(loads.values()):
                     return float("inf")
                 continue
-            worst = max(worst, float(arr.max()) / cap)
+            # worst starts at 0, the load of every uncharged edge
+            worst = max(worst, float(max(loads.values(), default=0)) / cap)
         return worst
 
     def total_load(self) -> int:
-        return int(sum(arr.sum() for arr in self._loads))
+        return sum(sum(loads.values()) for loads in self._loads)

@@ -2,14 +2,15 @@
 
 These pin behaviours that the uniform-workload tests rarely exercise:
 forced bends under load, sources on tile boundaries, negative-column
-geometry, and the Theorem-13 digraph adapter.
+geometry, and theorem13's space-time digraph (det2's, on capacities
+scaled down by ``k``).
 """
 
 import pytest
 
 from repro.core.base import RouteOutcome
 from repro.core.deterministic import DeterministicRouter
-from repro.core.deterministic.variants import LargeCapacityRouter, SpaceTimeDigraph
+from repro.core.deterministic.variants import LargeCapacityRouter
 from repro.network.packet import Request
 from repro.network.simulator import execute_plan
 from repro.network.topology import LineNetwork
@@ -84,48 +85,54 @@ class TestBoundaryGeometry:
 
 class TestSpaceTimeDigraph:
     @pytest.fixture
-    def adapter(self):
+    def router(self):
         net = LineNetwork(8, buffer_size=4, capacity=4)
-        graph = SpaceTimeGraph(net, 16)
-        return graph, SpaceTimeDigraph(graph, buffer_cap=2, link_cap=2)
+        return LargeCapacityRouter(net, 16, k=2)
 
-    def test_out_edges(self, adapter):
-        graph, dg = adapter
-        edges = dict(dg.out_edges(("v", (2, 3))))
-        assert (("e", (2, 3), 0), ("v", (3, 3))) in edges.items()
-        assert (("e", (2, 3), 1), ("v", (2, 4))) in edges.items()
-
-    def test_capacities(self, adapter):
-        graph, dg = adapter
-        assert dg.capacity(("e", (2, 3), 0)) == 2
-        assert dg.capacity(("e", (2, 3), 1)) == 2
+    def test_capacities(self, router):
+        g = router.digraph
+        tail = g.vertex((2,), 5)  # untilted vertex (2, 3)
+        assert g.capacity(tail * g.moves + 0) == 2  # axis: 4 // 2
+        assert g.capacity(tail * g.moves + 1) == 2  # buffer: 4 // 2
 
     def test_zero_buffer_scaled_out(self):
-        net = LineNetwork(8, buffer_size=4, capacity=4)
-        graph = SpaceTimeGraph(net, 16)
-        dg = SpaceTimeDigraph(graph, buffer_cap=0, link_cap=2)
-        moves = {e[2] for e, _ in dg.out_edges(("v", (2, 3)))}
-        assert 1 not in moves  # buffer edges removed entirely
+        """With ``B // k == 0`` no path buffers: once the direct diagonal
+        is too heavy, a request that would have to wait is rejected."""
+        reqs = [Request.line(0, 5, 0, rid=i) for i in range(16)]
+        plans = {}
+        for B in (1, 2):
+            net = LineNetwork(8, buffer_size=B, capacity=4)
+            router = LargeCapacityRouter(net, 16, k=2, strict=False)
+            plans[B] = router.route(reqs)
+        waits = {B: any(1 in path.moves for path in plan.paths.values())
+                 for B, plan in plans.items()}
+        assert waits == {1: False, 2: True}
+        rejected = [rid for rid, outcome in plans[1].outcome.items()
+                    if outcome == RouteOutcome.REJECTED]
+        assert rejected
+        assert all(plans[2].outcome[rid] == RouteOutcome.DELIVERED
+                   for rid in rejected)
 
-    def test_sink_registration_window(self, adapter):
-        graph, dg = adapter
-        r = Request.line(1, 6, 2, deadline=10, rid=0)
-        sink = dg.register_sink(r)
-        assert sink == ("sink", 0)
-        sink_edges = [
-            e for v in [(6, col) for col in range(-6, 11)]
-            for e, h in dg.out_edges(("v", v))
-            if e[0] == "k"
-            if graph.valid_vertex(v)
-        ]
-        times = {e[1][1] + 6 for e in sink_edges}
-        assert times and all(7 <= t <= 10 for t in times)
+    def test_sink_registration_window(self, router):
+        reqs = [Request.line(1, 6, 2, deadline=10, rid=i) for i in range(12)]
+        plan = router.route(reqs)
+        assert plan.paths
+        times = set()
+        for path in plan.paths.values():
+            assert path.end(1)[0] == 6
+            times.add(path.arrival_time(1))
+        # arrival + dist = 7 up to the deadline, every copy used
+        assert times == {7, 8, 9, 10}
 
-    def test_unreachable_sink_is_none(self, adapter):
-        graph, dg = adapter
+    def test_unreachable_sink_is_none(self, router):
         # horizon 16: request arriving at 16 with distance 5 cannot be served
         r = Request.line(1, 6, 16, rid=1)
-        assert dg.register_sink(r) is None
+        assert router.digraph.slack(r) == -5
+        src = router.digraph.vertex(r.source, r.arrival)
+        assert router.digraph.lightest_path(src, r) is None
+        plan = router.route([r])
+        assert plan.outcome == {1: RouteOutcome.REJECTED}
+        assert router.ipp.stats.total == 0  # the packer never saw it
 
 
 class TestLargeCapacityEdgeCases:
@@ -141,10 +148,14 @@ class TestLargeCapacityEdgeCases:
             graph.check_path(path)
 
     def test_scaled_caps_floor(self):
-        net = LineNetwork(16, buffer_size=13, capacity=13)
+        # one link of capacity 13 sets min_capacity for every axis edge
+        net = LineNetwork(16, buffer_size=20, capacity=19,
+                          link_caps={((5,), 0): 13})
         router = LargeCapacityRouter(net, 64, k=6, strict=False)
-        assert router.digraph.buffer_cap == 2
-        assert router.digraph.link_cap == 2
+        g = router.digraph
+        tail = g.vertex((3,), 10)
+        assert g.capacity(tail * g.moves + 0) == 2  # axis: 13 // 6
+        assert g.capacity(tail * g.moves + 1) == 3  # buffer: 20 // 6
 
 
 class TestIdenticalIntervalPreemption:

@@ -110,3 +110,29 @@ class TestSmallBuffers:
         router.route(reqs)
         for count in router.iroute_exits.values():
             assert count <= router.iroute_cap
+
+
+@pytest.mark.parametrize("algorithm, B, c, horizon, throughput, meta", [
+    pytest.param("rand-large-buffers", 48, 1, 512, 45,
+                 {"large_buffers": {"not_rplus": 90, "ipp_rejected": 0,
+                                    "coin_rejected": 50, "load_rejected": 0,
+                                    "detail_rejected": 7, "delivered": 45}},
+                 id="large-buffers"),
+    pytest.param("rand-small-buffers", 2, 12, 256, 54,
+                 {"small_buffers": {"not_rplus": 96, "ipp_rejected": 0,
+                                    "coin_rejected": 41, "load_rejected": 1,
+                                    "detail_rejected": 0, "delivered": 54}},
+                 id="small-buffers"),
+])
+def test_pinned_counters(algorithm, B, c, horizon, throughput, meta):
+    """E7's instance of each regime: the throughput and every counter of
+    the shared pipeline, pinned to literal values."""
+    from repro.api import AlgorithmSpec, NetworkSpec, Scenario, WorkloadSpec, run
+
+    report = run(Scenario(NetworkSpec("line", (64,), B, c),
+                          WorkloadSpec("uniform", {"num": 192, "horizon": 64}),
+                          AlgorithmSpec(algorithm, {"lam": 0.5}),
+                          horizon=horizon, seed=0),
+                 compute_bound=False)
+    assert report.throughput == throughput
+    assert report.meta == meta
