@@ -12,13 +12,17 @@ Ported to the :mod:`repro.api` Scenario layer: Model 2 is the registered
 -- by the seeding contract the two models see identical request
 sequences at every (n, seed) point.
 
-Since PR 4 the whole experiment runs on *both* engines: ``ntg-model2``
-rides the vectorized two-phase :class:`FastModel2Engine` under
-``engine="fast"``, and every E14 point asserts reference/fast
-bit-identity before reporting.  ``test_model2_engine_speedup`` pins the
-payoff (fast >= 3x on the E14 sweep scale); like every wall-clock table
-it runs with ``cache="off"`` and emits an ``ENGINE_*`` output, which is
-exempt from CI's byte-identity check.
+Since PR 4 the whole experiment runs on *both* engines: under
+``engine="fast"``, ``ntg-model2`` runs :class:`FastModel2Engine`, the
+Model 2 rule as a decision program of the Model 1 array loop (so every
+decision passes that loop's checks), and every E14 point asserts
+reference/fast bit-identity before reporting.
+``test_model2_engine_speedup`` pins the payoff (fast >= 3x on the E14
+sweep scale; about 5x measured, with the loop's decision checks).  It
+needs the full-size sweep, so it is skipped under ``REPRO_BENCH_SMOKE``;
+CI runs it on its own.  Like every wall-clock table it runs with
+``cache="off"`` and emits an ``ENGINE_*`` output, which is exempt from
+CI's byte-identity check.
 """
 
 from __future__ import annotations

@@ -93,8 +93,8 @@ class RegistryEntry:
         ``REPRO_ENGINE=fast``.
 
         One of ``"vector"`` (a vectorized decision path: a native
-        decision-ABI policy, a built-in greedy priority, or the dedicated
-        Model 2 vector engine), ``"plan"`` (space-time plan replay),
+        decision-ABI policy, a built-in greedy priority, or the Model 2
+        decision program), ``"plan"`` (space-time plan replay),
         ``"adapter"`` (scalar policy lifted by the batched adapter) or
         ``"no"`` (engine-independent or reference-only).  Parameters may
         move an algorithm between paths (e.g. ``edd(adapter=true)`` forces

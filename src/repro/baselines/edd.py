@@ -22,7 +22,7 @@ knob the differential suite and the adapter benchmarks turn.
 from __future__ import annotations
 
 from repro.api.registry import register_algorithm
-from repro.baselines.greedy import one_bend_axis
+from repro.baselines.greedy import greedy_decision
 from repro.network.engine import NO_DEADLINE, StepView, VectorDecision
 from repro.network.fast_engine import greedy_masks
 from repro.network.simulator import Decision, Policy, SimulationResult
@@ -55,20 +55,7 @@ class EarliestDeadlinePolicy(Policy):
     batch_program = "edd"
 
     def decide(self, node, t, candidates, network: Network) -> Decision:
-        B = network.buffer_size
-        by_axis: dict = {}
-        for pkt in candidates:
-            by_axis.setdefault(one_bend_axis(pkt, network), []).append(pkt)
-        decision = Decision()
-        leftovers: list = []
-        for axis, pkts in by_axis.items():
-            c = network.capacity_of(node, axis)
-            pkts.sort(key=edd_key)
-            decision.forward[axis] = pkts[:c]
-            leftovers.extend(pkts[c:])
-        leftovers.sort(key=edd_key)
-        decision.store = leftovers[:B]
-        return decision
+        return greedy_decision(node, candidates, network, edd_key)
 
     def decide_vector(self, view: StepView) -> VectorDecision:
         # the key tuple is the whole policy; the top-c/top-B contention

@@ -37,6 +37,28 @@ def one_bend_axis(pkt: Packet, network: Network | None = None) -> int:
     raise ValidationError(f"packet {pkt.rid} already at destination")
 
 
+def greedy_decision(node, candidates, network: Network, key) -> Decision:
+    """The greedy-family decision under the total order ``key``.
+
+    Per outgoing axis (1-bend routing) the ``c`` best packets under
+    ``key`` are forwarded, and the node stores the ``B`` best leftovers:
+    the scalar twin of :func:`~repro.network.fast_engine.greedy_masks`.
+    """
+    by_axis: dict = {}
+    for pkt in candidates:
+        by_axis.setdefault(one_bend_axis(pkt, network), []).append(pkt)
+    decision = Decision()
+    leftovers: list = []
+    for axis, pkts in by_axis.items():
+        c = network.capacity_of(node, axis)
+        pkts.sort(key=key)
+        decision.forward[axis] = pkts[:c]
+        leftovers.extend(pkts[c:])
+    leftovers.sort(key=key)
+    decision.store = leftovers[:network.buffer_size]
+    return decision
+
+
 _PRIORITIES = {
     "fifo": lambda pkt, network: (pkt.request.arrival, pkt.rid),
     "lifo": lambda pkt, network: (-pkt.request.arrival, -pkt.rid),
@@ -63,21 +85,8 @@ class GreedyPolicy(Policy):
         self._key = _PRIORITIES[priority]
 
     def decide(self, node, t, candidates, network: Network) -> Decision:
-        B = network.buffer_size
-        by_axis: dict = {}
-        for pkt in candidates:
-            by_axis.setdefault(one_bend_axis(pkt, network), []).append(pkt)
-        decision = Decision()
-        key = lambda pkt: self._key(pkt, network)
-        leftovers: list = []
-        for axis, pkts in by_axis.items():
-            c = network.capacity_of(node, axis)
-            pkts.sort(key=key)
-            decision.forward[axis] = pkts[:c]
-            leftovers.extend(pkts[c:])
-        leftovers.sort(key=key)
-        decision.store = leftovers[:B]
-        return decision
+        return greedy_decision(node, candidates, network,
+                               lambda pkt: self._key(pkt, network))
 
 
 def run_greedy(network: Network, requests, horizon: int,

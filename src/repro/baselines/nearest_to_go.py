@@ -11,7 +11,7 @@ interval packing of Section 5.2.1.
 from __future__ import annotations
 
 from repro.api.registry import register_algorithm
-from repro.baselines.greedy import one_bend_axis
+from repro.baselines.greedy import greedy_decision
 from repro.network.engine import make_engine
 from repro.network.simulator import Decision, Policy, SimulationResult
 from repro.network.topology import Network
@@ -32,21 +32,8 @@ class NearestToGoPolicy(Policy):
     fast_priority = "ntg"
 
     def decide(self, node, t, candidates, network: Network) -> Decision:
-        B = network.buffer_size
-        by_axis: dict = {}
-        for pkt in candidates:
-            by_axis.setdefault(one_bend_axis(pkt, network), []).append(pkt)
-        decision = Decision()
-        key = lambda pkt: ntg_key(pkt, network)
-        leftovers: list = []
-        for axis, pkts in by_axis.items():
-            c = network.capacity_of(node, axis)
-            pkts.sort(key=key)
-            decision.forward[axis] = pkts[:c]
-            leftovers.extend(pkts[c:])
-        leftovers.sort(key=key)
-        decision.store = leftovers[:B]
-        return decision
+        return greedy_decision(node, candidates, network,
+                               lambda pkt: ntg_key(pkt, network))
 
 
 def run_nearest_to_go(network: Network, requests, horizon: int,

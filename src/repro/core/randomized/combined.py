@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.core.base import Plan, RouteOutcome, Router
 from repro.core.deterministic.geometry import plain_sketch_tiles
-from repro.core.randomized.far_plus import NORTH, FarPlusRouter
+from repro.core.randomized.far_plus import FarPlusRouter
 from repro.core.randomized.near import NearRouter
 from repro.core.randomized.params import PAPER_GAMMA, RandomizedParams
 from repro.network.topology import Network
@@ -109,14 +109,8 @@ class RegimeLineRouter(Router):
         self.counters["delivered"] += 1
         return RouteOutcome.DELIVERED, path
 
-    def _try_run(self, cells, pos, axis, length):
-        v = pos
-        for _ in range(length):
-            if not self.graph.valid_move(v, axis) or self.ledger.residual(axis, v) < 1:
-                return None
-            cells.append((axis, v))
-            v = (v[0] + 1, v[1]) if axis == NORTH else (v[0], v[1] + 1)
-        return v
+    #: one straight run of cells, checked against ``graph`` and ``ledger``
+    _try_run = FarPlusRouter._try_run
 
 
 class RandomizedLineRouter(Router):

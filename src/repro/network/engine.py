@@ -73,9 +73,10 @@ The ABI contract (what ``tests/test_differential.py`` fuzz-enforces):
 Node Model 2 (Appendix F) is not a :class:`Policy` but different node
 semantics; :func:`make_engine` routes policies carrying ``node_model = 2``
 (:class:`~repro.network.node_models.Model2Policy`) to the Model 2
-engines -- the vectorized
-:class:`~repro.network.node_models.FastModel2Engine` under ``"fast"``,
-the per-packet :class:`~repro.network.node_models.Model2LineSimulator`
+engines -- :class:`~repro.network.node_models.FastModel2Engine` under
+``"fast"``, which runs the Model 2 rule as a decision program of the
+same array loop (so its decisions pass the same checks), and the
+per-packet :class:`~repro.network.node_models.Model2LineSimulator`
 otherwise.
 """
 
@@ -233,7 +234,9 @@ def make_engine(network, policy, engine: str | None = None,
     (tracing, or a policy no fast path can express), the reference engine
     is returned instead, so experiment code can flip engines globally
     without special-casing individual policies.  Policies carrying
-    ``node_model = 2`` route to the Model 2 engines (see module docs).
+    ``node_model = 2`` route to the Model 2 engines (see module docs):
+    :class:`~repro.network.node_models.FastModel2Engine`, a decision
+    program on the fast engine's loop, or the per-packet reference.
     """
     # imported here, not at module top: fast_engine/node_models import the
     # ABI classes above, so this module must finish loading first

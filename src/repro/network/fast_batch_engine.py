@@ -1,14 +1,16 @@
-"""The Model 1 array loop: any number of scenarios as one array program.
+"""The array loop: any number of scenarios as one array program.
 
 :func:`_run_stack` is the only array implementation of the Model 1 step
-(Section 2.1).  It executes independent jobs -- each a ``(network,
-policy, requests, horizon)`` quadruple -- *together*: every per-packet
-array carries all jobs' requests, nodes get per-scenario id offsets so
-no contention group ever mixes scenarios, and each global tick resolves
-the decisions of *all* scenarios in one grouped lexsort/scatter pass.
-:class:`FastBatchEngine` runs a whole sweep as one stack (numpy call
-overhead is paid once per tick, not once per tick per scenario);
-:class:`~repro.network.fast_engine.FastEngine` is a stack of one job.
+(Section 2.1); Model 2 (Appendix F) runs on it as one more decision
+program (``FastModel2Engine``).  It executes independent jobs -- each a
+``(network, policy, requests, horizon)`` quadruple -- *together*: every
+per-packet array carries all jobs' requests, nodes get per-scenario id
+offsets so no contention group ever mixes scenarios, and each global
+tick resolves the decisions of *all* scenarios in one grouped
+lexsort/scatter pass.  :class:`FastBatchEngine` runs a whole sweep as
+one stack (numpy call overhead is paid once per tick, not once per tick
+per scenario); :class:`~repro.network.fast_engine.FastEngine` is a stack
+of one job.
 
 Memory model (padding and masking)
 ----------------------------------
@@ -583,8 +585,7 @@ class FastBatchEngine:
             # alone on the stack, a policy shares its clock and its
             # decision program with nobody
             if reason is not None and not (
-                    len(jobs) == 1 and FastEngine.supports(policy)
-                    and getattr(policy, "node_model", 1) != 2):
+                    len(jobs) == 1 and FastEngine.supports(policy)):
                 raise ValidationError(
                     f"job {i} ({type(policy).__name__}) cannot join a "
                     f"stacked batch: {reason}"
@@ -604,8 +605,6 @@ class FastBatchEngine:
         """
         if getattr(policy, "vectorize", True) is False:
             return "policy sets vectorize=False (pinned to the reference engine)"
-        if getattr(policy, "node_model", 1) == 2:
-            return "Model 2 node semantics run on the dedicated Model 2 engines"
         kind = _lift(policy)
         if kind == "plan":
             return None
@@ -617,6 +616,8 @@ class FastBatchEngine:
                 return ("policy keeps per-step state (on_step_begin); "
                         "stacked scenarios share one clock")
             return None
+        if kind is None:
+            return "policy has no array decision program"
         return ("policy has no batch program (scalar policies run "
                 "per-scenario through the batched adapter)")
 

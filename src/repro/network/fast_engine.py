@@ -50,10 +50,15 @@ import numpy as np
 from repro.network import kernel
 from repro.network.engine import NO_DEADLINE, StepView, VectorDecision
 from repro.network.packet import DeliveryStatus, Packet
-from repro.network.simulator import PlanPolicy, Policy, SimulationResult
+from repro.network.simulator import (
+    PlanPolicy,
+    Policy,
+    SimulationResult,
+    validate_decision,
+)
 from repro.network.topology import Network
 from repro.network.trace import TraceRecorder
-from repro.util.errors import CapacityError, ValidationError
+from repro.util.errors import ValidationError
 
 # integer status codes used inside the array loop
 _PENDING, _REJECTED, _INJECTED, _PREEMPTED, _DELIVERED, _LATE = range(6)
@@ -193,10 +198,10 @@ class BatchedPolicyAdapter:
     candidate :class:`~repro.network.packet.Packet` records (rid-sorted,
     with exact ``location``/``hops``/``injected_at``), and makes one
     scalar ``decide`` call per node-step -- the per-packet Python loop of
-    the reference engine collapses to a per-node one.  Decisions are
-    validated like the reference validator (foreign packets, double
-    scheduling, axis bounds, ``B``/``c``) before being scattered back
-    into masks.
+    the reference engine collapses to a per-node one.  Each decision
+    passes the reference engine's own check,
+    :func:`~repro.network.simulator.validate_decision`, before it is
+    scattered back into masks.
 
     Bit-identity with the reference engine holds for policies whose
     decisions are order-insensitive in the candidate list and do not key
@@ -212,7 +217,6 @@ class BatchedPolicyAdapter:
 
     def decide_vector(self, view: StepView) -> VectorDecision:
         network = self.network
-        B, d = network.buffer_size, network.d
         fwd_mask = np.zeros(view.size, dtype=bool)
         axis_arr = np.zeros(view.size, dtype=np.int64)
         store_mask = np.zeros(view.size, dtype=bool)
@@ -234,43 +238,12 @@ class BatchedPolicyAdapter:
                 row_of[id(pkt)] = int(r)
                 candidates.append(pkt)
             decision = self.policy.decide(node, view.t, candidates, network)
-
-            seen: set = set()
+            validate_decision(network, node, candidates, decision)
             for axis, pkts in decision.forward.items():
-                c = network.capacity_of(node, axis) if 0 <= axis < d \
-                    else network.capacity
-                if len(pkts) > c:
-                    raise CapacityError(
-                        f"node {node} forwards {len(pkts)} > c={c} on "
-                        f"axis {axis}"
-                    )
-                head_ok = 0 <= axis < d and network.has_edge(node, axis)
-                if pkts and not head_ok:
-                    raise ValidationError(
-                        f"node {node} has no outgoing axis {axis}")
-                for pkt in pkts:
-                    row = row_of.get(id(pkt))
-                    if row is None:
-                        raise ValidationError(
-                            f"decision forwards foreign packet {pkt.rid}")
-                    if id(pkt) in seen:
-                        raise ValidationError(
-                            f"packet {pkt.rid} scheduled twice")
-                    seen.add(id(pkt))
-                    fwd_mask[row] = True
-                    axis_arr[row] = axis
-            if len(decision.store) > B:
-                raise CapacityError(
-                    f"node {node} stores {len(decision.store)} > B={B}")
-            for pkt in decision.store:
-                row = row_of.get(id(pkt))
-                if row is None:
-                    raise ValidationError(
-                        f"decision stores foreign packet {pkt.rid}")
-                if id(pkt) in seen:
-                    raise ValidationError(f"packet {pkt.rid} scheduled twice")
-                seen.add(id(pkt))
-                store_mask[row] = True
+                sent = [row_of[id(pkt)] for pkt in pkts]
+                fwd_mask[sent] = True
+                axis_arr[sent] = axis
+            store_mask[[row_of[id(pkt)] for pkt in decision.store]] = True
         return VectorDecision(forward=fwd_mask, axis=axis_arr,
                               store=store_mask)
 

@@ -5,12 +5,13 @@ loop: rank the candidate packets inside each contention group under the
 policy's total priority order, admit the top ``c`` per (node, axis) link
 onto the links, admit the top ``B`` leftovers per node into the buffers,
 and scatter the forward/store outcomes back over the packet rows.  This
-module owns that loop for *all* array engines --
-:class:`~repro.network.fast_engine.FastEngine`,
-:class:`~repro.network.fast_batch_engine.FastBatchEngine` (through the
-shared :func:`~repro.network.fast_engine.greedy_masks`), and the Model 2
-:class:`~repro.network.node_models.FastModel2Engine` -- so there is
-exactly one implementation of the bit-identity-critical ranking logic.
+module owns that loop for every array engine: they all run the one
+array loop of :mod:`repro.network.fast_batch_engine`, whose greedy
+programs rank and admit through
+:func:`~repro.network.fast_engine.greedy_masks` and whose Model 2
+program (:class:`~repro.network.node_models.FastModel2Engine`) ranks
+through :func:`grouped_rank` -- so there is exactly one implementation
+of the bit-identity-critical ranking logic.
 """
 
 from __future__ import annotations
@@ -68,11 +69,11 @@ def injection_order(arrival) -> np.ndarray:
     """Stable injection order: arrival time, ties by request position.
 
     The one shared definition of the stable-argsort injection idiom of
-    the array loops (the stacked Model 1 loop behind ``FastEngine`` and
-    ``FastBatchEngine``, and ``FastModel2Engine.run``).  Stability
-    is load-bearing: requests revealed at the same step must enter the
-    live set in request order, which every engine's status accounting
-    assumes (pinned by ``tests/test_kernel.py``).
+    the array loop (behind ``FastEngine``, ``FastBatchEngine`` and
+    ``FastModel2Engine``).  Stability is load-bearing: requests revealed
+    at the same step must enter the live set in request order, which
+    the loop's status accounting assumes (pinned by
+    ``tests/test_kernel.py``).
     """
     return np.argsort(np.asarray(arrival), kind="stable")
 

@@ -21,14 +21,20 @@ Model 2 is selected through the ordinary engine machinery: a
 :class:`Model2Policy` carries ``node_model = 2``, which
 :func:`~repro.network.engine.make_engine` routes to
 :class:`Model2LineSimulator` (the per-packet reference loop, with
-tracing) or :class:`FastModel2Engine` (the vectorized two-phase loop on
-the decision-ABI priority machinery) -- both implement the
+tracing) or :class:`FastModel2Engine` (the two-phase rule as a decision
+program of the Model 1 array loop) -- both implement the
 :class:`~repro.network.engine.Engine` protocol and return bit-identical
 :class:`~repro.network.simulator.SimulationResult` records.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.network import kernel
+from repro.network.engine import StepView, VectorDecision
+from repro.network.fast_batch_engine import _run_stack
+from repro.network.fast_engine import _priority_keys
 from repro.network.packet import DeliveryStatus, Packet
 from repro.network.simulator import SimulationResult
 from repro.network.stats import NetworkStats
@@ -58,11 +64,11 @@ class Model2Policy:
 
     ``priority`` names the total order used both to pick which ``B``
     packets survive phase 0 and which single packet phase 1 transmits
-    (``ntg`` -- the default -- ``fifo``, ``lifo`` or ``longest``).  The
-    ``node_model = 2`` marker is what routes
-    :func:`~repro.network.engine.make_engine` to the Model 2 engines;
-    ``fast_priority`` names the equivalent vectorized order used by
-    :class:`FastModel2Engine`.
+    (``ntg`` -- the default -- ``fifo``, ``lifo`` or ``longest``); both
+    Model 2 engines rank on it.  The ``node_model = 2`` marker is what
+    routes :func:`~repro.network.engine.make_engine` to the Model 2
+    engines.  It carries no Model 1 decision, so
+    :class:`~repro.network.fast_engine.FastEngine` refuses it.
     """
 
     node_model = 2
@@ -74,7 +80,6 @@ class Model2Policy:
                 f"{sorted(_MODEL2_KEYS)}"
             )
         self.priority = priority
-        self.fast_priority = priority
         self.key = _MODEL2_KEYS[priority]
 
 
@@ -187,6 +192,7 @@ class Model2LineSimulator:
                     kept.remove(out)
                     new_link_in[x + 1] = out
                     stats.forwards += 1
+                    stats.max_link_load = 1
                     trace.record(t, "forward", out.rid, node, "axis=0")
                 for pkt in kept:
                     stats.stores += 1
@@ -206,15 +212,41 @@ class Model2LineSimulator:
                                 engine="reference")
 
 
-class FastModel2Engine:
-    """Vectorized Model 2: the two-phase loop on priority-key arrays.
+class _Model2Program:
+    """Model 2's node rule as a decision program of the array loop.
 
-    Bit-identical drop-in for :class:`Model2LineSimulator` (same
-    ``status`` map, same :class:`~repro.network.stats.NetworkStats`
-    counters, same delivery times) built on the fast engine's grouped
-    ranking machinery: phase 0 keeps the ``B`` best-ranked packets per
-    node, phase 1 transmits the rank-0 survivor.  Supports the named
-    priority orders of :class:`Model2Policy`; construction raises
+    Per node, the candidates left after delivery are ranked under the
+    policy's priority order.  Phase 0 keeps ranks ``< B``; of those,
+    phase 1 transmits rank 0 along the line (an undelivered packet's
+    destination lies ahead, so the edge exists) and ranks ``1..B-1``
+    stay in the buffer.  The loop deletes the rest.
+    """
+
+    __slots__ = ("_priority",)
+
+    def __init__(self, priority: str):
+        self._priority = priority
+
+    def decide_vector(self, view: StepView) -> VectorDecision:
+        keys = _priority_keys(self._priority, view.arrival, view.rid,
+                              view.remaining())
+        rank = kernel.grouped_rank(view.node_id, keys)
+        kept = rank < view.network.buffer_size
+        return VectorDecision(forward=kept & (rank == 0),
+                              axis=np.zeros(view.size, dtype=np.int64),
+                              store=kept & (rank > 0))
+
+
+class FastModel2Engine:
+    """Model 2 on the array loop: bit-identical to :class:`Model2LineSimulator`.
+
+    Runs :class:`_Model2Program` as a stack of one job on
+    :func:`~repro.network.fast_batch_engine._run_stack`, the loop behind
+    :class:`~repro.network.fast_engine.FastEngine`, which validates every
+    decision and keeps the accounting (same ``status`` map, same
+    :class:`~repro.network.stats.NetworkStats` counters, same delivery
+    times as the reference).  Supports the named priority orders of
+    :class:`Model2Policy`; construction raises
     :class:`~repro.util.errors.ValidationError` on unsupported policies,
     non-line networks or ``trace=True`` -- use
     :func:`~repro.network.engine.make_engine` for graceful fallback.
@@ -229,14 +261,10 @@ class FastModel2Engine:
             )
         _check_model2_network(network)
         policy = policy if policy is not None else Model2Policy()
-        from repro.network.fast_engine import FastEngine
-
-        if getattr(policy, "fast_priority", None) not in \
-                FastEngine.SUPPORTED_PRIORITIES:
+        if getattr(policy, "priority", None) not in _MODEL2_KEYS:
             raise ValidationError(
                 f"policy {type(policy).__name__} is not supported by "
-                f"FastModel2Engine (no fast_priority in "
-                f"{sorted(FastEngine.SUPPORTED_PRIORITIES)})"
+                f"FastModel2Engine (no priority in {sorted(_MODEL2_KEYS)})"
             )
         self.network = network
         self.policy = policy
@@ -245,12 +273,9 @@ class FastModel2Engine:
     @classmethod
     def supports(cls, policy, network) -> bool:
         """True when ``policy`` can run on the fast Model 2 engine."""
-        from repro.network.fast_engine import FastEngine
-
         return (
             getattr(policy, "node_model", 1) == 2
-            and getattr(policy, "fast_priority", None)
-            in FastEngine.SUPPORTED_PRIORITIES
+            and getattr(policy, "priority", None) in _MODEL2_KEYS
             and network.d == 1
             and not network.any_wrap
             and network.capacity == 1
@@ -258,108 +283,10 @@ class FastModel2Engine:
         )
 
     def run(self, requests, horizon: int) -> SimulationResult:
-        import numpy as np
-
-        from repro.network import kernel
-        from repro.network.fast_engine import (
-            _DELIVERED,
-            _INJECTED,
-            _LATE,
-            _PREEMPTED,
-            _REJECTED,
-            _finalize_result,
-            _priority_keys,
-            _request_arrays,
-        )
-
-        network = self.network
-        B = network.buffer_size
-        n_nodes = network.length
-        stats = NetworkStats()
-
-        reqs = tuple(requests)
-        n = len(reqs)
-        src, dst, arrival, deadline, rid = _request_arrays(network, reqs)
-        if n == 0:
-            return SimulationResult(stats=stats, status={}, trace=self.trace,
-                                    engine="fast")
-        src, dst = src[:, 0], dst[:, 0]  # line: flat 1-d coordinates
-
-        loc = src.copy()
-        alive = np.zeros(n, dtype=bool)
-        scode = np.zeros(n, dtype=np.int64)  # _PENDING
-        delivered_t = np.full(n, -1, dtype=np.int64)
-
-        inj_order = kernel.injection_order(arrival)
-        ptr = 0
-        n_alive = 0
-        last_arrival = int(arrival.max())
-        priority = self.policy.fast_priority
-
-        for t in range(horizon + 1):
-            if n_alive == 0 and t > last_arrival:
-                break
-            stats.steps += 1
-
-            while ptr < n and arrival[inj_order[ptr]] == t:
-                i = inj_order[ptr]
-                alive[i] = True
-                n_alive += 1
-                ptr += 1
-
-            act = np.flatnonzero(alive)
-            if act.size == 0:
-                continue
-
-            # deliveries are free in both models
-            at_dest = loc[act] == dst[act]
-            done = act[at_dest]
-            if done.size:
-                on_time = t <= deadline[done]
-                scode[done] = np.where(on_time, _DELIVERED, _LATE)
-                delivered_t[done] = t
-                n_on = int(on_time.sum())
-                stats.delivered += n_on
-                stats.late += done.size - n_on
-                alive[done] = False
-                n_alive -= done.size
-            rem = act[~at_dest]
-            if rem.size == 0:
-                continue
-
-            # phase 0: keep the B best-ranked packets per node
-            keys = _priority_keys(priority, arrival[rem], rid[rem],
-                                  dst[rem] - loc[rem])
-            rank = kernel.grouped_rank(loc[rem], keys)
-            keep = rank < B
-            dropped = rem[~keep]
-            if dropped.size:
-                fresh = arrival[dropped] == t  # rejected at injection
-                scode[dropped] = np.where(fresh, _REJECTED, _PREEMPTED)
-                n_fresh = int(fresh.sum())
-                stats.rejected += n_fresh
-                stats.preempted += dropped.size - n_fresh
-                alive[dropped] = False
-                n_alive -= dropped.size
-            kept = rem[keep]
-            if kept.size == 0:
-                continue
-            scode[kept] = _INJECTED
-
-            # phase 1: transmit the rank-0 survivor (unless at the line end)
-            transmit = keep & (rank == 0) & (loc[rem] + 1 < n_nodes)
-            stay = keep & ~transmit
-            if stay.any():
-                stats.stores += int(stay.sum())
-                _, counts = np.unique(loc[rem[stay]], return_counts=True)
-                stats.max_buffer_load = max(stats.max_buffer_load,
-                                            int(counts.max()))
-            tx = rem[transmit]
-            if tx.size:
-                loc[tx] += 1
-                stats.forwards += tx.size
-
-        return _finalize_result(stats, scode, rid, delivered_t, self.trace)
+        """Simulate ``requests`` for time steps ``0..horizon`` inclusive."""
+        program = _Model2Program(self.policy.priority)
+        return _run_stack([(self.network, program, requests, horizon)],
+                          "fast")[0]
 
 
 def separation_instance():

@@ -78,6 +78,48 @@ class SimulationResult:
         }
 
 
+def validate_decision(network: Network, node: tuple, candidates: list,
+                      decision: Decision) -> None:
+    """Check one node's :class:`Decision` against the model.
+
+    Raises :class:`~repro.util.errors.CapacityError` when a link carries
+    more than its ``c`` or the buffer more than ``B`` packets, and
+    :class:`~repro.util.errors.ValidationError` for a forward along a
+    missing edge, a packet that is not a candidate, or a packet scheduled
+    twice.  The reference engine and the fast engine's scalar adapter
+    both call it, so both raise the same errors.
+    """
+    cand_ids = {id(p) for p in candidates}
+    seen: set = set()
+    for axis, pkts in decision.forward.items():
+        c = network.capacity_of(node, axis) if 0 <= axis < network.d \
+            else network.capacity
+        if len(pkts) > c:
+            raise CapacityError(
+                f"node {node} forwards {len(pkts)} > c={c} on axis {axis}"
+            )
+        head_ok = 0 <= axis < network.d and network.has_edge(node, axis)
+        if pkts and not head_ok:
+            raise ValidationError(f"node {node} has no outgoing axis {axis}")
+        for pkt in pkts:
+            if id(pkt) not in cand_ids:
+                raise ValidationError(f"decision forwards foreign packet {pkt.rid}")
+            if id(pkt) in seen:
+                raise ValidationError(f"packet {pkt.rid} scheduled twice")
+            seen.add(id(pkt))
+    B = network.buffer_size
+    if len(decision.store) > B:
+        raise CapacityError(
+            f"node {node} stores {len(decision.store)} > B={B}"
+        )
+    for pkt in decision.store:
+        if id(pkt) not in cand_ids:
+            raise ValidationError(f"decision stores foreign packet {pkt.rid}")
+        if id(pkt) in seen:
+            raise ValidationError(f"packet {pkt.rid} scheduled twice")
+        seen.add(id(pkt))
+
+
 class Simulator:
     """Synchronous engine over a :class:`~repro.network.topology.Network`."""
 
@@ -89,7 +131,6 @@ class Simulator:
     def run(self, requests, horizon: int) -> SimulationResult:
         """Simulate ``requests`` for time steps ``0..horizon`` inclusive."""
         network, policy, trace = self.network, self.policy, self.trace
-        B, c = network.buffer_size, network.capacity
         stats = NetworkStats()
         status: dict = {}
 
@@ -154,7 +195,7 @@ class Simulator:
                     continue
 
                 decision = policy.decide(node, t, remaining, network)
-                self._validate_decision(node, remaining, decision, B, c)
+                validate_decision(network, node, remaining, decision)
 
                 handled = set()
                 for axis, pkts in decision.forward.items():
@@ -206,38 +247,6 @@ class Simulator:
                 stats.preempted += 1
         return SimulationResult(stats=stats, status=status, trace=self.trace,
                                 engine="reference")
-
-    def _validate_decision(self, node, candidates, decision, B, c) -> None:
-        cand_ids = {id(p) for p in candidates}
-        seen: set = set()
-        for axis, pkts in decision.forward.items():
-            c_edge = self.network.capacity_of(node, axis) \
-                if 0 <= axis < self.network.d else c
-            if len(pkts) > c_edge:
-                raise CapacityError(
-                    f"node {node} forwards {len(pkts)} > c={c_edge} on axis {axis}"
-                )
-            head_ok = 0 <= axis < self.network.d and \
-                self.network.has_edge(node, axis)
-            if pkts and not head_ok:
-                raise ValidationError(f"node {node} has no outgoing axis {axis}")
-            for pkt in pkts:
-                if id(pkt) not in cand_ids:
-                    raise ValidationError(f"decision forwards foreign packet {pkt.rid}")
-                if id(pkt) in seen:
-                    raise ValidationError(f"packet {pkt.rid} scheduled twice")
-                seen.add(id(pkt))
-        if len(decision.store) > B:
-            raise CapacityError(
-                f"node {node} stores {len(decision.store)} > B={B}"
-            )
-        for pkt in decision.store:
-            if id(pkt) not in cand_ids:
-                raise ValidationError(f"decision stores foreign packet {pkt.rid}")
-            if id(pkt) in seen:
-                raise ValidationError(f"packet {pkt.rid} scheduled twice")
-            seen.add(id(pkt))
-
 
 class PlanPolicy(Policy):
     """Policy that replays precomputed space-time paths.

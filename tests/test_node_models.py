@@ -1,5 +1,8 @@
 """Tests for the Appendix F node models (experiment E14)."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.baselines.greedy import run_greedy
 from repro.network.node_models import (
     Model2LineSimulator,
@@ -150,6 +153,29 @@ class TestScenarioParity:
             assert getattr(ref, field) == getattr(fast, field), field
 
 
+@st.composite
+def model2_lines(draw):
+    """A unit-capacity line, a priority, a horizon and its requests: some
+    arrive past the horizon, some carry deadlines, rids are shuffled."""
+    n = draw(st.integers(1, 24))
+    B = draw(st.integers(0, 4))
+    priority = draw(st.sampled_from(("ntg", "fifo", "lifo", "longest")))
+    horizon = draw(st.integers(0, 40))
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                  st.integers(0, horizon + 3),
+                  st.one_of(st.none(), st.integers(0, 6))),
+        max_size=40))
+    rids = draw(st.permutations(range(len(rows))))
+    reqs = [
+        Request.line(min(a, b), max(a, b), t,
+                     deadline=None if slack is None else t + abs(b - a) + slack,
+                     rid=rid)
+        for rid, (a, b, t, slack) in zip(rids, rows)
+    ]
+    return LineNetwork(n, buffer_size=B, capacity=1), priority, horizon, reqs
+
+
 class TestModel2EngineParity:
     """Model2LineSimulator vs FastModel2Engine bit-identity."""
 
@@ -179,6 +205,12 @@ class TestModel2EngineParity:
             reqs = uniform_requests(net, 30, 12, rng=seed)
             self._parity(net, reqs, 80, priority)
 
+    @settings(max_examples=200, deadline=None)
+    @given(model2_lines())
+    def test_random_lines_parity(self, case):
+        net, priority, horizon, reqs = case
+        self._parity(net, reqs, horizon, priority)
+
     def test_deadline_parity(self):
         from repro.workloads import deadline_requests
 
@@ -192,6 +224,8 @@ class TestModel2EngineParity:
         ref, fast = self._parity(net, reqs, 10)
         assert ref.stats.delivered == 1
         assert ref.engine == "reference" and fast.engine == "fast"
+        # one packet per link per step, counted by both engines
+        assert ref.stats.max_link_load == fast.stats.max_link_load == 1
 
     def test_fast_model2_requires_line_and_unit_capacity(self):
         from repro.network.node_models import FastModel2Engine, Model2Policy
@@ -223,6 +257,15 @@ class TestModel2EngineParity:
         assert isinstance(
             make_engine(net, Model2Policy(), engine="fast", trace=True),
             Model2LineSimulator)
+        # Model 2 is not a Model 1 policy: the Model 1 array engines must
+        # refuse it rather than silently run Model 1
+        from repro.network.fast_batch_engine import FastBatchEngine
+        from repro.network.fast_engine import FastEngine
+
+        with pytest.raises(ValidationError):
+            FastEngine(net, Model2Policy())
+        with pytest.raises(ValidationError, match="no array decision"):
+            FastBatchEngine([(net, Model2Policy(), [], 4)])
 
     def test_model2_counts_buffered_stores(self):
         # "everything transits the buffer": a non-trivial Model 2 run

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.network.fast_engine import FastEngine
 from repro.network.packet import DeliveryStatus, Request
 from repro.network.simulator import (
     Decision,
@@ -9,6 +10,7 @@ from repro.network.simulator import (
     Policy,
     Simulator,
     execute_plan,
+    validate_decision,
 )
 from repro.network.topology import GridNetwork, LineNetwork
 from repro.spacetime.graph import STPath
@@ -113,6 +115,18 @@ class TestBasicDelivery:
 
 
 class TestCapacityEnforcement:
+    """Misbehaving policies are refused by the reference engine and, with
+    the same error type and text, by the fast engine's scalar adapter."""
+
+    @staticmethod
+    def _refused_alike(net, policy, reqs, horizon, error):
+        raised = []
+        for engine in (Simulator, FastEngine):
+            with pytest.raises(error) as info:
+                engine(net, policy).run(reqs, horizon)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
+
     def test_link_capacity_violation_raises(self):
         net = LineNetwork(3, buffer_size=2, capacity=1)
 
@@ -120,10 +134,8 @@ class TestCapacityEnforcement:
             def decide(self, node, t, candidates, network):
                 return Decision(forward={0: candidates})
 
-        sim = Simulator(net, Cheater())
         reqs = [Request.line(0, 2, 0, rid=i) for i in range(2)]
-        with pytest.raises(CapacityError):
-            sim.run(reqs, 10)
+        self._refused_alike(net, Cheater(), reqs, 10, CapacityError)
 
     def test_buffer_capacity_violation_raises(self):
         net = LineNetwork(3, buffer_size=1, capacity=1)
@@ -132,10 +144,8 @@ class TestCapacityEnforcement:
             def decide(self, node, t, candidates, network):
                 return Decision(store=list(candidates))
 
-        sim = Simulator(net, Hoarder())
         reqs = [Request.line(0, 2, 0, rid=i) for i in range(3)]
-        with pytest.raises(CapacityError):
-            sim.run(reqs, 10)
+        self._refused_alike(net, Hoarder(), reqs, 10, CapacityError)
 
     def test_foreign_packet_rejected(self):
         net = LineNetwork(3, buffer_size=1, capacity=1)
@@ -147,9 +157,8 @@ class TestCapacityEnforcement:
             def decide(self, node, t, candidates, network):
                 return Decision(forward={0: [ghost]})
 
-        sim = Simulator(net, Forger())
-        with pytest.raises(ValidationError):
-            sim.run([Request.line(0, 2, 0)], 5)
+        self._refused_alike(net, Forger(), [Request.line(0, 2, 0)], 5,
+                            ValidationError)
 
     def test_double_scheduling_rejected(self):
         net = LineNetwork(3, buffer_size=1, capacity=2)
@@ -158,19 +167,15 @@ class TestCapacityEnforcement:
             def decide(self, node, t, candidates, network):
                 return Decision(forward={0: [candidates[0], candidates[0]]})
 
-        sim = Simulator(net, Duplicator())
-        with pytest.raises(ValidationError):
-            sim.run([Request.line(0, 2, 0)], 5)
+        self._refused_alike(net, Duplicator(), [Request.line(0, 2, 0)], 5,
+                            ValidationError)
 
     def test_invalid_axis_rejected(self):
         net = LineNetwork(3, buffer_size=1, capacity=1)
-        sim = Simulator(net, DropAll())
         # forwarding off the end of the line must be refused
         with pytest.raises(ValidationError):
-            sim._validate_decision(
-                (2,), [], Decision(forward={0: [object()]}),
-                net.buffer_size, net.capacity,
-            )
+            validate_decision(net, (2,), [],
+                              Decision(forward={0: [object()]}))
 
 
 class TestCutThrough:
