@@ -15,7 +15,6 @@ from repro.network.topology import (
     LineNetwork,
     RingNetwork,
     TorusNetwork,
-    grid_geometry_reason,
 )
 from repro.util.errors import ValidationError
 
@@ -67,14 +66,9 @@ def _build_torus(dims, buffer_size, capacity, link_caps=()):
 
 
 def _model2_requires(network, horizon) -> str | None:
-    if network.d != 1:
-        return "targets lines (d = 1)"
-    reason = grid_geometry_reason(network)
-    if reason:
-        return reason
-    if network.min_capacity != 1 or network.capacity != 1:
-        return "Model 2 is defined for unit link capacity (c = 1)"
-    return None
+    from repro.network.node_models import model2_network_reason
+
+    return model2_network_reason(network)
 
 
 @register_algorithm(

@@ -83,14 +83,16 @@ class Model2Policy:
         self.key = _MODEL2_KEYS[priority]
 
 
-def _check_model2_network(network) -> None:
+def model2_network_reason(network) -> str | None:
+    """Why Model 2 cannot run on ``network`` (it needs a non-wrapping line
+    with capacity 1 on every link), or ``None``: both engines' rule."""
     if network.d != 1:
-        raise ValidationError("Model 2 is defined on lines (d = 1)")
+        return "Model 2 is defined on lines (d = 1)"
     if network.any_wrap:
-        raise ValidationError(
-            "Model 2 requires grid geometry (no wraparound axes)")
-    if network.capacity != 1 or network.min_capacity != 1:
-        raise ValidationError("Model 2 is defined for unit link capacity")
+        return "Model 2 requires grid geometry (no wraparound axes)"
+    if {network.capacity, *network.link_caps.values()} != {1}:
+        return "Model 2 is defined for unit link capacity (c = 1 on every link)"
+    return None
 
 
 class Model2LineSimulator:
@@ -106,7 +108,9 @@ class Model2LineSimulator:
 
     def __init__(self, network: LineNetwork, policy: Model2Policy | None = None,
                  trace: bool = False):
-        _check_model2_network(network)
+        reason = model2_network_reason(network)
+        if reason is not None:
+            raise ValidationError(reason)
         self.network = network
         self.policy = policy if policy is not None else Model2Policy()
         self.trace = TraceRecorder(enabled=trace)
@@ -248,7 +252,7 @@ class FastModel2Engine:
     times as the reference).  Supports the named priority orders of
     :class:`Model2Policy`; construction raises
     :class:`~repro.util.errors.ValidationError` on unsupported policies,
-    non-line networks or ``trace=True`` -- use
+    networks :func:`model2_network_reason` refuses or ``trace=True`` -- use
     :func:`~repro.network.engine.make_engine` for graceful fallback.
     """
 
@@ -259,7 +263,9 @@ class FastModel2Engine:
                 "FastModel2Engine does not record traces; use the "
                 "reference Model 2 engine"
             )
-        _check_model2_network(network)
+        reason = model2_network_reason(network)
+        if reason is not None:
+            raise ValidationError(reason)
         policy = policy if policy is not None else Model2Policy()
         if getattr(policy, "priority", None) not in _MODEL2_KEYS:
             raise ValidationError(
@@ -276,10 +282,7 @@ class FastModel2Engine:
         return (
             getattr(policy, "node_model", 1) == 2
             and getattr(policy, "priority", None) in _MODEL2_KEYS
-            and network.d == 1
-            and not network.any_wrap
-            and network.capacity == 1
-            and network.min_capacity == 1
+            and model2_network_reason(network) is None
         )
 
     def run(self, requests, horizon: int) -> SimulationResult:

@@ -71,6 +71,19 @@ class Request:
         object.__setattr__(self, "rid", next(_rid_counter) if rid is None else int(rid))
         self._validate()
 
+    @classmethod
+    def _trusted(cls, source: Node, dest: Node, arrival: int) -> "Request":
+        """``Request(source, dest, arrival)`` without the checks, for
+        generators that pass equal-length tuples of ints and an int >= 0."""
+        self = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(self, "source", source)
+        setattr_(self, "dest", dest)
+        setattr_(self, "arrival", arrival)
+        setattr_(self, "deadline", None)
+        setattr_(self, "rid", next(_rid_counter))
+        return self
+
     def _validate(self) -> None:
         if len(self.source) != len(self.dest):
             raise ValidationError(

@@ -1,11 +1,17 @@
 """Tests for the Appendix F node models (experiment E14)."""
 
+import re
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.greedy import run_greedy
+from repro.api import NetworkSpec, Scenario, WorkloadSpec, unavailable_reason
 from repro.network.node_models import (
+    FastModel2Engine,
     Model2LineSimulator,
+    Model2Policy,
+    model2_network_reason,
     ntg_priority,
     separation_instance,
 )
@@ -84,6 +90,35 @@ class TestModel2Engine:
             st != DeliveryStatus.PENDING and st != DeliveryStatus.INJECTED
             for st in res.status.values()
         )
+
+
+class TestModel2NetworkRule:
+    """One rule decides where Model 2 runs: both engine constructors, the
+    fast engine's ``supports`` and the ``ntg-model2`` capability gate."""
+
+    @pytest.mark.parametrize("spec, defined", [
+        (NetworkSpec("grid", (3, 3), 1, 1), False),
+        (NetworkSpec("ring", (4,), 1, 1), False),
+        (NetworkSpec("line", (4,), 1, 2), False),
+        # c = 1, but one link raised to 3: Model 2 moves one packet a step
+        (NetworkSpec("line", (4,), 1, 1, link_caps=(((1,), 0, 3),)), False),
+        (NetworkSpec("line", (4,), 1, 1), True),
+    ], ids=["grid", "ring", "line-c2", "line-raised-link", "line"])
+    def test_one_rule(self, spec, defined):
+        network = spec.build()
+        reason = model2_network_reason(network)
+        assert (reason is None) == defined
+        assert FastModel2Engine.supports(Model2Policy(), network) == defined
+        for engine in (FastModel2Engine, Model2LineSimulator):
+            if defined:
+                engine(network)
+            else:
+                with pytest.raises(ValidationError, match=re.escape(reason)):
+                    engine(network)
+        scenario = Scenario(spec, WorkloadSpec("uniform", {"num": 4,
+                                                           "horizon": 4}),
+                            "ntg-model2", horizon=16)
+        assert unavailable_reason(scenario) == reason
 
 
 class TestScenarioParity:

@@ -1,5 +1,7 @@
 """Tests for repro.network.packet: requests, packets, statuses."""
 
+import dataclasses
+
 import pytest
 
 from repro.network.packet import DeliveryStatus, Packet, Request
@@ -113,6 +115,31 @@ class TestRequestOrdering:
         r = Request.line(1, 4, 2, rid=7)
         text = repr(r)
         assert "7" in text and "(1,)" in text and "(4,)" in text
+
+
+class TestTrustedRequest:
+    """``Request._trusted`` builds what ``Request(source, dest, arrival)``
+    builds, without the checks, taking the next rid."""
+
+    CASES = (((0,), (3,), 0), ((1, 2), (4, 2), 7), ((0, 0, 0), (1, 0, 2), 3))
+
+    def test_matches_constructor(self):
+        for source, dest, arrival in self.CASES:
+            fast = Request._trusted(source, dest, arrival)
+            slow = Request(source, dest, arrival, rid=fast.rid)
+            assert dataclasses.astuple(fast) == dataclasses.astuple(slow)
+            assert list(vars(fast)) == list(vars(slow))  # same field order
+            assert repr(fast) == repr(slow)
+            assert fast == slow and hash(fast) == hash(slow)
+
+    def test_consecutive_rids_and_ordering(self):
+        a = Request._trusted((0,), (2,), 5)
+        b = Request._trusted((0,), (1,), 5)
+        c = Request((0,), (1,), 4)
+        assert b.rid == a.rid + 1
+        assert c.rid == b.rid + 1
+        assert sorted([b, c, a]) == [c, a, b]
+        assert a != Request((0,), (2,), 5, rid=b.rid)
 
 
 class TestPacket:

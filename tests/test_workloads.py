@@ -1,8 +1,11 @@
 """Tests for the workload generators."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.network.topology import GridNetwork, LineNetwork
+from repro.network.topology import GridNetwork, LineNetwork, Network
 from repro.util.errors import ValidationError
 from repro.workloads import (
     bursty_requests,
@@ -40,6 +43,80 @@ class TestUniform:
         net = LineNetwork(16)
         reqs = uniform_requests(net, 20, 5, rng=1, min_distance=4)
         assert all(r.distance >= 4 for r in reqs)
+
+    def test_arrival_range(self):
+        # arrivals lie in 0..horizon-1, and are 0 when horizon <= 1
+        net = GridNetwork((4, 4))
+        reqs = uniform_requests(net, 4000, 5, rng=0)
+        assert {r.arrival for r in reqs} == set(range(5))
+        for horizon in (0, 1):
+            reqs = uniform_requests(net, 50, horizon, rng=0)
+            assert {r.arrival for r in reqs} == {0}
+
+
+def scalar_uniform(network, num, horizon, rng, min_distance=1):
+    """``uniform_requests`` as it was before its draws came from raw-word
+    blocks: one ``rng.integers`` call per coordinate.  Returns
+    ``(source, dest, arrival, deadline)`` tuples."""
+    out = []
+    dims = network.dims
+    for _ in range(num):
+        for _attempt in range(64):
+            src = tuple(int(rng.integers(0, l)) for l in dims)
+            dst = tuple(int(rng.integers(s, l)) for s, l in zip(src, dims))
+            if sum(d - s for s, d in zip(src, dst)) >= min_distance:
+                break
+        else:
+            src = tuple(0 for _ in dims)
+            dst = tuple(l - 1 for l in dims)
+        out.append((src, dst, int(rng.integers(0, max(1, horizon))), None))
+    return out
+
+
+@st.composite
+def uniform_calls(draw):
+    dims = tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3)))
+    diameter = sum(l - 1 for l in dims)
+    # up to 40 requests fit one block; 600-700 requests on 3 axes need
+    # more than the 4096-word cap
+    num = draw(st.integers(0, 40) | st.integers(600, 700))
+    # min_distance = diameter + 1 forces the far-corner fallback after 64
+    # attempts a request: keep that to the small calls
+    top = diameter + 1 if num <= 40 else diameter
+    return (Network(dims, 1, 1), num,
+            draw(st.sampled_from((0, 1, 2, 7, 10**6))),
+            draw(st.integers(0, top)), draw(st.integers(0, 2**32 - 1)))
+
+
+def assert_same_as_scalar(network, num, horizon, min_distance, seed):
+    want_rng = np.random.default_rng(seed)
+    got_rng = np.random.default_rng(seed)
+    want = scalar_uniform(network, num, horizon, want_rng, min_distance)
+    got = uniform_requests(network, num, horizon, rng=got_rng,
+                           min_distance=min_distance)
+    assert [(r.source, r.dest, r.arrival, r.deadline) for r in got] == want
+    assert all(type(x) is int
+               for r in got for x in (*r.source, *r.dest, r.arrival))
+    if got:
+        assert [r.rid for r in got] == list(range(got[0].rid,
+                                                  got[0].rid + num))
+    # deadline and congestion-mix keep drawing from this generator
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class TestUniformStream:
+    """The raw-word stream gives the same requests, rids and end state as
+    one ``rng.integers`` call per coordinate."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(uniform_calls())
+    def test_matches_scalar_generator(self, call):
+        assert_same_as_scalar(*call)
+
+    def test_full_size_grid(self):
+        # the 48x48 grid of perfbench's large_grid, over three blocks
+        for seed in range(3):
+            assert_same_as_scalar(GridNetwork((48, 48)), 2000, 128, 1, seed)
 
 
 class TestPoisson:
