@@ -34,7 +34,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -644,6 +643,10 @@ def run_batch(scenarios, workers: int | None = None, *,
                     current = []
             if current:
                 chunks.append(current)
+
+            # imported here: the pool loads multiprocessing, which no
+            # serial or stacked batch needs
+            from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 chunk_results = pool.map(

@@ -72,16 +72,19 @@ class Request:
         self._validate()
 
     @classmethod
-    def _trusted(cls, source: Node, dest: Node, arrival: int) -> "Request":
-        """``Request(source, dest, arrival)`` without the checks, for
-        generators that pass equal-length tuples of ints and an int >= 0."""
+    def _trusted(cls, source: Node, dest: Node, arrival: int,
+                 deadline: int | None = None,
+                 rid: int | None = None) -> "Request":
+        """``Request(source, dest, arrival, deadline, rid)`` without the
+        checks, for generators that pass equal-length tuples of ints, an
+        int ``arrival >= 0`` and ints (or ``None``) for the rest."""
         self = object.__new__(cls)
         setattr_ = object.__setattr__
         setattr_(self, "source", source)
         setattr_(self, "dest", dest)
         setattr_(self, "arrival", arrival)
-        setattr_(self, "deadline", None)
-        setattr_(self, "rid", next(_rid_counter))
+        setattr_(self, "deadline", deadline)
+        setattr_(self, "rid", next(_rid_counter) if rid is None else rid)
         return self
 
     def _validate(self) -> None:

@@ -12,6 +12,10 @@
 * :mod:`repro.packing.lp` -- fractional multicommodity LP (the paper's
   ``opt_f``), with the path-length-bounded variant of Lemma 2.
 * :mod:`repro.packing.exact` -- exact integral optimum for tiny instances.
+
+scipy is imported only when a bound is solved: the max-flow bound (and the
+C+D bound built on it) loads ``scipy.sparse`` and its ``csgraph``, the LP
+also ``scipy.optimize``.  A run without a bound loads no scipy.
 """
 
 from repro.packing.interval import Interval, OnlineIntervalPacker, max_disjoint_intervals

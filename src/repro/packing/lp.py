@@ -1,11 +1,12 @@
 """Fractional multicommodity path packing (the paper's ``opt_f``).
 
 The optimal fractional packing (Section 3.5) is a multicommodity flow and is
-computed here as a sparse LP solved with scipy's HiGHS backend.  Because the
-untilted space-time graph is a monotone DAG, the per-request variable set is
-restricted to the request's *window* -- vertices both reachable from the
-source event and able to reach a valid destination copy -- which keeps the
-LP small.
+computed here as a sparse LP solved with scipy's HiGHS backend; scipy is
+imported only when an LP is solved, so importing this module loads none of
+it.  Because the untilted space-time graph is a monotone DAG, the
+per-request variable set is restricted to the request's *window* --
+vertices both reachable from the source event and able to reach a valid
+destination copy -- which keeps the LP small.
 
 Path-length bounds (Lemma 2): every monotone path between fixed endpoints
 has the same hop count, so bounding path lengths by ``p_max`` is exactly a
@@ -23,8 +24,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 from repro.network.topology import Network
 from repro.util.errors import ValidationError
@@ -246,6 +245,10 @@ def fractional_opt(network: Network, requests, horizon: int,
         # No explicit source row: conservation over the window DAG forces
         # source outflow to equal total deliveries, which the demand row
         # already caps at 1.
+
+    # imported on first use, so only an LP solve loads scipy.optimize
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
 
     A_ub = csr_matrix((data, (rows, cols)), shape=(nrow, nvar))
     b_ub = np.array(rhs_ub)

@@ -12,15 +12,14 @@ test-suite compares it against :func:`repro.packing.exact.exact_opt_small`.
 
 The flow network is built as numpy ``(tail, head, cap)`` edge arrays, merged
 into one sparse matrix and solved by scipy's compiled
-:func:`scipy.sparse.csgraph.maximum_flow`.  Its size is counted in closed
-form first, and networks above :data:`MAX_EDGES` are refused before any
-edge array is allocated.
+:func:`scipy.sparse.csgraph.maximum_flow`, imported on the first solve.  Its
+size is counted in closed form first, and networks above :data:`MAX_EDGES`
+are refused before any edge array is allocated.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from repro.network.topology import Network
 from repro.util.errors import ValidationError
@@ -130,8 +129,8 @@ def throughput_upper_bound(network: Network, requests, horizon: int) -> int:
             f"> MAX_EDGES = {MAX_EDGES}); shrink the network, the horizon or "
             "the request set"
         )
-    # imported on first use: nothing else in repro loads csgraph, which
-    # would add about 1 MB of peak memory to every sweep without a bound
+    # imported on first use, so a run without a bound loads no scipy
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_flow
 
     tail, head, cap = _edges(network, T, events, counts, first_copy, widths)

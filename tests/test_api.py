@@ -290,6 +290,16 @@ class TestRun:
         with pytest.raises(ValidationError, match="does not accept"):
             run(bad)
 
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    @pytest.mark.parametrize("param", ["slack", "jitter"])
+    def test_negative_deadline_param_refused(self, engine, param):
+        params = {"num": 10, "horizon": 16, "slack": 2, "jitter": 1}
+        params[param] = -1
+        sc = line_scenario(engine=engine).replace(
+            workload=WorkloadSpec("deadline", params))
+        with pytest.raises(ValidationError, match=f"{param} must be >= 0"):
+            run(sc)
+
     def test_latency_stats(self):
         report = run(line_scenario(num=10))
         if report.throughput > 0:

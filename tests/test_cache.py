@@ -192,16 +192,16 @@ class TestBoundShortCircuit:
     def test_warm_batch_spawns_no_workers(self, tmp_path, monkeypatch):
         """Hits are resolved in the parent: a fully warmed batch never
         opens a process pool."""
-        import sys
+        import concurrent.futures
 
-        run_mod = sys.modules["repro.api.run"]
         scenarios = [scenario(seed=s) for s in range(3)]
         run_batch(scenarios, cache="readwrite", cache_dir=tmp_path)
 
         def boom(*args, **kwargs):
             raise AssertionError("process pool opened on a full-hit batch")
 
-        monkeypatch.setattr(run_mod, "ProcessPoolExecutor", boom)
+        # run_batch imports the pool from concurrent.futures when it opens one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", boom)
         warm = run_batch(scenarios, workers=4, cache="readwrite",
                          cache_dir=tmp_path)
         assert warm.cache_stats.hits == 3

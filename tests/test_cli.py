@@ -159,6 +159,13 @@ class TestCommands:
             "--workload-arg", "duration=4",
         ]) == 0
 
+    def test_negative_jitter_is_a_clean_error(self, capsys):
+        assert main([
+            "route", "ntg", "--workload", "deadline",
+            "--workload-arg", "slack=2", "--workload-arg", "jitter=-1",
+        ]) == 2
+        assert "error: jitter must be >= 0, got -1" in capsys.readouterr().err
+
 
 def _throughput_rows(out):
     """Parse ``name | throughput`` (or wider sweep) table rows."""

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.topology import GridNetwork, LineNetwork, Network
+from repro.network.packet import Request
+from repro.network.topology import (
+    GridNetwork,
+    LineNetwork,
+    Network,
+    RingNetwork,
+    TorusNetwork,
+)
 from repro.util.errors import ValidationError
 from repro.workloads import (
     bursty_requests,
@@ -191,6 +198,95 @@ class TestDeadlines:
         reqs = deadline_requests(net, 20, 5, slack=2, rng=1, jitter=3)
         for r in reqs:
             assert 2 <= r.deadline - r.arrival - r.distance <= 5
+
+    @pytest.mark.parametrize("slack, jitter, name",
+                             [(-1, 0, "slack"), (-2, 3, "slack"),
+                              (2, -1, "jitter")])
+    def test_negative_refused_before_any_draw(self, slack, jitter, name):
+        net = LineNetwork(8)
+        base = uniform_requests(net, 5, 5, rng=0)
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError, match=f"{name} must be >= 0"):
+            with_deadlines(base, slack, rng, jitter)
+        with pytest.raises(ValidationError, match=f"{name} must be >= 0"):
+            deadline_requests(net, 5, 5, slack, rng, jitter)
+        assert rng.bit_generator.state == state
+
+
+def scalar_with_deadlines(requests, slack, rng, jitter=0, network=None):
+    """``with_deadlines`` as it was before its jitter came from raw-word
+    blocks: one ``rng.integers`` call per request and the checking
+    ``Request`` constructor."""
+    out = []
+    for r in requests:
+        extra = slack if jitter == 0 else slack + int(rng.integers(0, jitter + 1))
+        dist = r.distance if network is None else network.dist(r.source, r.dest)
+        out.append(Request(r.source, r.dest, r.arrival,
+                           deadline=r.arrival + dist + extra, rid=r.rid))
+    return out
+
+
+_NETWORKS = {
+    "line": lambda dims: LineNetwork(dims[0]),
+    "grid": GridNetwork,
+    "ring": lambda dims: RingNetwork(dims[0]),
+    "torus": TorusNetwork,
+}
+
+
+@st.composite
+def deadline_calls(draw):
+    kind = draw(st.sampled_from(sorted(_NETWORKS)))
+    if kind in ("line", "ring"):
+        dims = (draw(st.integers(1, 9)),)
+    else:
+        dims = tuple(draw(st.lists(st.integers(1, 5), min_size=2,
+                                   max_size=3)))
+    network = _NETWORKS[kind](dims)
+    requests = []
+    for _ in range(draw(st.integers(0, 30))):
+        src = tuple(draw(st.integers(0, l - 1)) for l in dims)
+        # a wrapping axis reaches every coordinate, a grid axis only ahead
+        dst = tuple(draw(st.integers(0 if wrap else s, l - 1))
+                    for s, l, wrap in zip(src, dims, network.wrap))
+        requests.append(Request(src, dst, draw(st.integers(0, 20))))
+    return (requests, draw(st.integers(0, 6)), draw(st.integers(0, 5)),
+            network if draw(st.booleans()) else None,
+            draw(st.integers(0, 2**32 - 1)))
+
+
+def assert_deadlines_as_scalar(requests, slack, jitter, network, seed):
+    want_rng = np.random.default_rng(seed)
+    got_rng = np.random.default_rng(seed)
+    want = scalar_with_deadlines(requests, slack, want_rng, jitter, network)
+    got = with_deadlines(requests, slack, got_rng, jitter, network=network)
+
+    def fields(rs):
+        return [(r.source, r.dest, r.arrival, r.deadline, r.rid) for r in rs]
+
+    assert fields(got) == fields(want)
+    assert all(type(x) is int for r in got
+               for x in (*r.source, *r.dest, r.arrival, r.deadline, r.rid))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class TestDeadlineStream:
+    """Jitter from the raw-word stream and copies without re-checks give
+    the same requests and end state as the checking, scalar loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(deadline_calls())
+    def test_matches_scalar_loop(self, call):
+        assert_deadlines_as_scalar(*call)
+
+    @pytest.mark.parametrize("jitter", [0, 5])
+    def test_more_than_one_block(self, jitter):
+        # 6000 jitter draws need two 4096-word blocks
+        net = GridNetwork((48, 48))
+        base = uniform_requests(net, 6000, 128, rng=0)
+        for seed in range(2):
+            assert_deadlines_as_scalar(base, 2, jitter, net, seed)
 
 
 class TestAdversarial:
