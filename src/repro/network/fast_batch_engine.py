@@ -7,9 +7,10 @@ program (``FastModel2Engine``).  It executes independent jobs -- each a
 per-packet array carries all jobs' requests, nodes get per-scenario id
 offsets so no contention group ever mixes scenarios, and each global
 tick resolves the decisions of *all* scenarios in one grouped
-lexsort/scatter pass.  :class:`FastBatchEngine` runs a whole sweep as
-one stack (numpy call overhead is paid once per tick, not once per tick
-per scenario); :class:`~repro.network.fast_engine.FastEngine` is a stack
+sort/scatter pass (:mod:`repro.network.kernel` picks the sort).
+:class:`FastBatchEngine` runs a whole sweep as one stack (numpy call
+overhead is paid once per tick, not once per tick per scenario);
+:class:`~repro.network.fast_engine.FastEngine` is a stack
 of one job.
 
 Memory model (padding and masking)
@@ -270,10 +271,11 @@ def _assign_programs(jobs, d, off, cnt, rid):
 
 
 def _check_decision(decision, view, head, cap, B, node_job, max_link_j,
-                    max_buf_j):
+                    max_buf_j, table):
     """Validate one program's :class:`VectorDecision` and account the
     per-scenario load maxima; returns ``(forward, axis, store, heads)``
-    with ``axis``/``heads`` over the forwarded rows only.
+    with ``axis``/``heads`` over the forwarded rows only.  ``table`` is
+    the run's zeroed count table (see :func:`_enforce_loads`).
 
     The engine, not the policy, enforces the model: overlapping masks,
     unknown axes and forwards along a missing edge raise
@@ -314,10 +316,10 @@ def _check_decision(decision, view, head, cap, B, node_job, max_link_j,
                 f"node {tuple(view.loc[fwd_mask][i])} has no outgoing axis "
                 f"{int(fa[i])}{_scenario(node_job, edge[i] // d)}")
         _enforce_loads(edge, d, cap, node_job, max_link_j,
-                       "decision forwards {} > c={} on a link")
+                       "decision forwards {} > c={} on a link", table)
     if store_mask.any():
         _enforce_loads(view.node_id[store_mask], 1, B, node_job, max_buf_j,
-                       "decision stores {} > B={} at a node")
+                       "decision stores {} > B={} at a node", table)
     return fwd_mask, fa, store_mask, heads
 
 
@@ -329,26 +331,34 @@ def _scenario(node_job, node) -> str:
     return f" (batch scenario {int(node_job[node])})"
 
 
-def _enforce_loads(groups, per_node, limit, node_job, maxima,
-                   message) -> None:
+def _enforce_loads(groups, per_node, limit, node_job, maxima, message,
+                   table) -> None:
     """Count rows per contention group, raise
     :class:`~repro.util.errors.CapacityError` where a count exceeds
-    ``limit`` (a scalar, or a table over group ids), and raise each
-    scenario's recorded maximum.  Group ``g`` sits at node
-    ``g // per_node``."""
-    uniq, counts = np.unique(groups, return_counts=True)
-    limits = limit if np.isscalar(limit) else limit[uniq]
+    ``limit`` (a scalar, or a table over group ids) -- naming the
+    smallest such group -- and raise each scenario's recorded maximum.
+    Group ``g`` sits at node ``g // per_node``.
+
+    ``table`` is a zeroed int array over every group id of the run: the
+    rows are added into it, each row reads back its group's count, and
+    the touched entries are zeroed again, so one table serves every call
+    of a run at a cost in rows, not in groups."""
+    np.add.at(table, groups, 1)
+    counts = table[groups]
+    table[groups] = 0
+    limits = limit if np.isscalar(limit) else limit[groups]
     over = counts > limits
     if over.any():
-        i = int(np.flatnonzero(over)[0])
+        g = groups[over].min()
+        i = int(np.flatnonzero(groups == g)[0])
         raise CapacityError(
             message.format(int(counts[i]),
                            int(np.broadcast_to(limits, over.shape)[i]))
-            + _scenario(node_job, uniq[i] // per_node))
+            + _scenario(node_job, g // per_node))
     if node_job is None:
         maxima[0] = max(maxima[0], counts.max())
     else:
-        np.maximum.at(maxima, node_job[uniq // per_node], counts)
+        np.maximum.at(maxima, node_job[groups // per_node], counts)
 
 
 def _run_stack(jobs, engine: str) -> list:
@@ -431,7 +441,11 @@ def _run_stack(jobs, engine: str) -> list:
     job_of = node_job if m > 1 else None
 
     # -- mutable packet state -----------------------------------------------
+    # loc is a fresh C-ordered copy, so loc_flat is a view of it: the
+    # position update writes loc_flat[row * d + axis]
     loc = src.copy()
+    loc_flat = loc.reshape(-1)
+    table = np.zeros(head.size, dtype=np.int64)  # _enforce_loads' counts
     alive = np.zeros(rid.size, dtype=bool)
     scode = np.zeros(rid.size, dtype=np.int64)  # _PENDING
     left_t = np.full(rid.size, -1, dtype=np.int64)  # delivery or drop step
@@ -452,7 +466,8 @@ def _run_stack(jobs, engine: str) -> list:
             None if np.isscalar(cap) else cap)
         return StepView(
             t=t, network=network, requests=reqs_all, index=rows,
-            node_id=node_id, loc=loc[rows], src=src[rows], dst=dst[rows],
+            node_id=node_id, loc=loc.take(rows, axis=0),
+            src=src.take(rows, axis=0), dst=dst.take(rows, axis=0),
             arrival=arrival[rows], deadline=deadline[rows], rid=rid[rows],
             batch=job,
         )
@@ -514,17 +529,19 @@ def _run_stack(jobs, engine: str) -> list:
             view = view_of(rows, ids)
             f, fa, s, heads = _check_decision(
                 program.decide_vector(view), view, head, cap, B, job_of,
-                max_link_j, max_buf_j)
+                max_link_j, max_buf_j, table)
             moves.append((rows[f], fa, heads, rows[s], rows[~(f | s)]))
         fwd, fa, heads, stored, dropped = moves[0] if len(moves) == 1 \
             else (np.concatenate(column) for column in zip(*moves))
 
         if fwd.size:
+            cell = fwd * d + fa
             if any_wrap:
                 # a head below its tail wrapped around to coordinate 0
-                loc[fwd, fa] = np.where(heads < nid[fwd], 0, loc[fwd, fa] + 1)
+                loc_flat[cell] = np.where(heads < nid[fwd], 0,
+                                          loc_flat[cell] + 1)
             else:
-                loc[fwd, fa] += 1
+                loc_flat[cell] += 1
             nid[fwd] = heads
             scode[fwd] = _INJECTED
             forwards_j += np.bincount(bid[fwd], minlength=m)

@@ -4,9 +4,10 @@
 :class:`~repro.network.simulator.Simulator` (Section 2.1) but packs all
 packet state into numpy arrays -- location, node id, arrival, deadline
 -- and resolves each time step with grouped array operations instead of
-per-packet Python dicts.  One step costs a handful of ``lexsort``/scatter
-passes over the *live* packets, so large grid workloads run one to two
-orders of magnitude faster than the reference engine.  The loop itself
+per-packet Python dicts.  One step costs a handful of grouped sort and
+scatter passes over the *live* packets (see :mod:`repro.network.kernel`
+for which sort), so large grid workloads run one to two orders of
+magnitude faster than the reference engine.  The loop itself
 is the stacked one of :mod:`repro.network.fast_batch_engine`:
 a fast-engine run is a stack of exactly one job.
 

@@ -17,7 +17,8 @@ runs, with identical cache accounting, and every single stackable
 scenario must match its reference and fast runs too, plus the step
 kernel: fast and batch runs with the kernel swapped for the pure-Python
 oracle of ``tests/test_kernel.py`` still match the reference engine,
-plus the topology family: ring/torus/uniline networks and per-edge
+and with every kernel call on the packed-key sort (its row threshold
+patched to 0: these draws are far below it), plus the topology family: ring/torus/uniline networks and per-edge
 ``link_caps`` hotspot instances enter every strategy, so the
 bit-identity net now covers wraparound movement and per-edge capacity
 enforcement.
@@ -242,6 +243,27 @@ def test_kernel_dimension_bit_identical(scenario):
                                  "reference vs batch [oracle kernel]")
     if fast.engine != "reference":
         assert calls, f"{fast.engine} run never called the kernel"
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(scenarios())
+def test_packed_sort_bit_identical(scenario):
+    """reference == fast == batch with ``kernel.PACKED_SORT_ROWS`` patched
+    to 0, so every grouped rank of the array engines sorts one packed
+    key where its columns fit (EDD's unbounded deadlines still take
+    ``np.lexsort``)."""
+    hypothesis.assume(runnable(scenario))
+    ref = run(scenario.replace(engine="reference"))
+    with mock.patch.object(kernel, "PACKED_SORT_ROWS", 0):
+        fast = run(scenario.replace(engine="fast"))
+        stacked = run_batch([scenario.replace(engine="batch")])[0] \
+            if _batch_reason(scenario) is None else None
+    assert_reports_identical(ref, fast, "reference vs fast [packed sort]")
+    if stacked is not None:
+        assert_reports_identical(ref, stacked,
+                                 "reference vs batch [packed sort]")
 
 
 @st.composite

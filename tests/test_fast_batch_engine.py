@@ -13,13 +13,21 @@ in ``run_batch``, the clean capability error for explicitly
 ``engine="batch"`` batches with nothing to stack, the warmed-cache
 short-circuit (no stacked execution at all), and the on-disk
 offline-bound tier shared across algorithms.
+
+Two tests pin the loop's cheaper tick at the sizes that use it: a
+congested 24x24 instance whose ticks rank more than
+``kernel.PACKED_SORT_ROWS`` rows, and the per-run count table of
+``_enforce_loads``, compared with the ``np.unique`` count it replaced.
 """
 
 import re
 import sys
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import NetworkSpec, Scenario, WorkloadSpec, run_batch
 from repro.api.registry import ALGORITHMS
@@ -29,16 +37,18 @@ from repro.baselines.greedy import GreedyPolicy
 from repro.baselines.nearest_to_go import NearestToGoPolicy
 from repro.core.deterministic import DeterministicRouter
 from repro.network.engine import StepView, VectorDecision
-from repro.network.fast_batch_engine import FastBatchEngine
+from repro.network.fast_batch_engine import FastBatchEngine, _enforce_loads
 from repro.network.fast_engine import FastEngine
+from repro.network.packet import Request
 from repro.network.simulator import Decision, PlanPolicy, Policy, Simulator
-from repro.network.topology import GridNetwork, LineNetwork
-from repro.util.errors import ValidationError
+from repro.network.topology import GridNetwork, LineNetwork, TorusNetwork
+from repro.util.errors import CapacityError, ValidationError
 from repro.workloads import (
     deadline_requests,
     poisson_requests,
     uniform_requests,
 )
+from test_kernel import packed_calls
 
 STAT_FIELDS = (
     "delivered", "late", "rejected", "preempted", "forwards", "stores",
@@ -130,6 +140,165 @@ class TestStackedParity:
             [(net, NearestToGoPolicy(), reqs, 30)]).run_many()
         solo = FastEngine(net, NearestToGoPolicy()).run(reqs, 30)
         assert_results_identical(stacked[0], solo, "single job")
+
+
+class TestPackedSortAtScale:
+    """reference == fast == batch where ticks rank more than
+    ``kernel.PACKED_SORT_ROWS`` rows: on a 24x24 grid with B = c = 1,
+    4000 uniform requests revealed over 24 steps leave about half of the
+    ticks above 512 candidates.  The differential fuzz draws instances
+    far too small to get there."""
+
+    NETWORKS = {
+        "grid": GridNetwork((24, 24), buffer_size=1, capacity=1),
+        # a wrapping loop with a raised link: per-edge capacity table
+        "torus-hotspot": TorusNetwork((24, 24), buffer_size=1, capacity=1,
+                                      link_caps=(((11, 0), 0, 3),)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NETWORKS))
+    def test_engines_identical(self, name):
+        net = self.NETWORKS[name]
+        reqs = uniform_requests(net, 4000, 24, rng=0)
+        policies = [GreedyPolicy("fifo"), GreedyPolicy("lifo"),
+                    GreedyPolicy("longest"), NearestToGoPolicy(),
+                    EarliestDeadlinePolicy()]
+        with packed_calls() as packed:
+            # one mixed stack: the merged greedy program and EDD's
+            stacked = FastBatchEngine(
+                [(net, policy, reqs, 120) for policy in policies]).run_many()
+            assert any(packed), "no tick of the stack packed its sort"
+            packed.clear()
+            fast = [FastEngine(net, policy).run(reqs, 120)
+                    for policy in policies]
+            assert any(packed), "no tick of the fast runs packed its sort"
+        for i, (policy, one, many) in enumerate(zip(policies, fast,
+                                                     stacked)):
+            ref = Simulator(net, policy).run(reqs, 120)
+            context = f"{name} job {i}"
+            for field in STAT_FIELDS:
+                assert getattr(one.stats, field) == getattr(ref.stats, field) \
+                    == getattr(many.stats, field), (context, field)
+            assert one.status == ref.status == many.status, context
+            assert one.stats.delivery_times == ref.stats.delivery_times \
+                == many.stats.delivery_times, context
+
+
+def _enforce_loads_unique(groups, per_node, limit, node_job, maxima,
+                          message) -> None:
+    """The load check before the count table: counts by ``np.unique``.
+    The reference :func:`_enforce_loads` is pinned against."""
+    uniq, counts = np.unique(groups, return_counts=True)
+    limits = limit if np.isscalar(limit) else limit[uniq]
+    over = counts > limits
+    if over.any():
+        i = int(np.flatnonzero(over)[0])
+        raise CapacityError(
+            message.format(int(counts[i]),
+                           int(np.broadcast_to(limits, over.shape)[i]))
+            + ("" if node_job is None else
+               f" (batch scenario {int(node_job[uniq[i] // per_node])})"))
+    if node_job is None:
+        maxima[0] = max(maxima[0], counts.max())
+    else:
+        np.maximum.at(maxima, node_job[uniq // per_node], counts)
+
+
+@st.composite
+def load_checks(draw):
+    """Consecutive load checks of one run: ``(groups, per_node, limit,
+    node_job, jobs, calls)``, with ``groups`` group ids in all.
+    ``per_node`` is 1 for buffers and ``d`` for links;
+    ``limit`` is a scalar or a table over group ids (``link_caps``, or
+    per-node ``B`` in a mixed stack); ``node_job`` maps nodes to
+    scenarios (``None`` for a stack of one)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_nodes = draw(st.integers(1, 30))
+    per_node = draw(st.integers(1, 3))
+    jobs = draw(st.integers(1, 3))
+    node_job = None if jobs == 1 \
+        else np.sort(rng.integers(0, jobs, size=n_nodes))
+    groups = n_nodes * per_node
+    limit = rng.integers(0, 4, size=groups) if draw(st.booleans()) \
+        else draw(st.integers(0, 3))
+    # rows crowd into the first few groups, so counts collide
+    calls = [rng.integers(0, draw(st.integers(1, groups)),
+                          size=draw(st.integers(1, 40)))
+             for _ in range(draw(st.integers(1, 4)))]
+    return groups, per_node, limit, node_job, jobs, calls
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except CapacityError as exc:
+        return str(exc)
+    return None
+
+
+class TestLoadTable:
+    MESSAGE = "decision forwards {} > c={} on a link"
+
+    @settings(max_examples=300)
+    @given(load_checks())
+    def test_matches_unique_counts(self, draw):
+        """Same errors (the smallest offending group, its scenario) and
+        the same per-scenario maxima as the ``np.unique`` count, call
+        after call through one table."""
+        n_groups, per_node, limit, node_job, jobs, calls = draw
+        table = np.zeros(n_groups, dtype=np.int64)
+        want, got = np.zeros(jobs, np.int64), np.zeros(jobs, np.int64)
+        for groups in calls:
+            expected = _outcome(_enforce_loads_unique, groups, per_node,
+                                limit, node_job, want, self.MESSAGE)
+            assert _outcome(_enforce_loads, groups, per_node, limit,
+                            node_job, got, self.MESSAGE, table) == expected
+            assert not table.any(), "the table kept counts between calls"
+            if expected is not None:
+                break  # a run ends at its first error
+            assert got.tolist() == want.tolist()
+
+    def test_second_call_not_inflated(self):
+        table = np.zeros(8, dtype=np.int64)
+        maxima = np.zeros(1, dtype=np.int64)
+        _enforce_loads(np.array([3, 3, 5]), 1, 2, None, maxima,
+                       self.MESSAGE, table)
+        _enforce_loads(np.array([3, 5]), 1, 1, None, maxima,
+                       self.MESSAGE, table)  # one row each: within c=1
+        assert maxima.tolist() == [2]
+        with pytest.raises(CapacityError,
+                           match=r"^decision forwards 2 > c=1 on a link$"):
+            _enforce_loads(np.array([6, 3, 6, 7]), 1, 1, None, maxima,
+                           self.MESSAGE, table)
+
+    def test_mixed_stack_error_names_scenario(self):
+        """A labelled vector program that stores every packet, in a
+        stack of two scenarios with different B (a per-node B table):
+        of the second scenario's two overfull nodes, the error names the
+        first, with its scenario -- the text it had before the table."""
+
+        class Hoarder:
+            batch_program = "hoard"
+
+            def decide_vector(self, view):
+                return VectorDecision(
+                    forward=np.zeros(view.size, bool),
+                    axis=np.zeros(view.size, np.int64),
+                    store=np.ones(view.size, bool))
+
+        big = LineNetwork(6, buffer_size=3, capacity=1)
+        small = LineNetwork(6, buffer_size=1, capacity=1)
+        jobs = [
+            (big, Hoarder(), [Request.line(0, 5, 0, rid=i)
+                              for i in range(3)], 20),
+            (small, Hoarder(), [Request.line(2 + 2 * (i % 2), 5, 0,
+                                             rid=10 + i)
+                                for i in range(5)], 20),
+        ]
+        with pytest.raises(CapacityError) as info:
+            FastBatchEngine(jobs).run_many()
+        assert str(info.value) \
+            == "decision stores 3 > B=1 at a node (batch scenario 1)"
 
 
 class _ScalarOnlyPolicy(Policy):

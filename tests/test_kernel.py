@@ -7,7 +7,13 @@ pins it against an oracle that shares none of its code:
   :func:`~repro.network.kernel.admit` equal a pure-Python oracle -- a
   per-group ``sorted`` over ``(key tuple, row)`` -- on hypothesis draws
   (0-300 rows, 1-4 keys with ties, scalar and per-row ``B`` and ``c``)
-  and on fixed seeded cases;
+  and on fixed seeded cases, on both sorts: the same draws run with
+  ``PACKED_SORT_ROWS`` patched to 0 (every call packs) and to a huge
+  value (every call takes ``np.lexsort``);
+* the packed key itself: negative and narrow-dtype keys pack, float,
+  uint64 and too-wide keys (EDD's ``NO_DEADLINE`` beside finite
+  deadlines) fall back to ``np.lexsort``, ties keep row order, and the
+  63-bit width limit holds on both sides;
 * the shared injection-order helper (arrival time, stable by request
   position) that the engines used to duplicate.
 
@@ -16,12 +22,16 @@ kernel swapped for these oracles, is fuzzed in
 ``tests/test_differential.py``.
 """
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network import kernel
+from repro.network.engine import NO_DEADLINE
 
 # -- the oracle: plain Python sorting, no numpy ordering ------------------
 
@@ -99,14 +109,45 @@ def random_case(rng, n, num_keys=3, groups=7):
     return gid, keys
 
 
+#: ``PACKED_SORT_ROWS`` values that put every call on one sort: 0 packs
+#: every call the packing accepts, a huge value keeps all on lexsort
+ALL_PACKED, ALL_LEXSORT = 0, 2**62
+
+
+@contextlib.contextmanager
+def packed_calls():
+    """Record, per call of the packed sort, whether it packed (``True``)
+    or refused and left the call to ``np.lexsort`` (``False``)."""
+    taken = []
+    real = kernel._packed_order
+
+    def spy(gid, keys):
+        order = real(gid, keys)
+        taken.append(order is not None)
+        return order
+
+    with mock.patch.object(kernel, "_packed_order", spy):
+        yield taken
+
+
 class TestGroupedRankParity:
+    @staticmethod
+    def _check(tick, threshold):
+        node_id, axis, d, keys, _, _ = tick
+        gid = node_id * d + axis
+        with mock.patch.object(kernel, "PACKED_SORT_ROWS", threshold):
+            assert kernel.grouped_rank(gid, keys).tolist() \
+                == oracle_rank(gid, keys)
+
     @settings(max_examples=200)
     @given(ticks())
     def test_matches_sorted_oracle(self, tick):
-        node_id, axis, d, keys, _, _ = tick
-        gid = node_id * d + axis
-        assert kernel.grouped_rank(gid, keys).tolist() \
-            == oracle_rank(gid, keys)
+        self._check(tick, ALL_LEXSORT)
+
+    @settings(max_examples=200)
+    @given(ticks())
+    def test_matches_sorted_oracle_packed(self, tick):
+        self._check(tick, ALL_PACKED)
 
     def test_ties_keep_row_order(self):
         # equal keys within a group rank by row position (stability)
@@ -123,14 +164,121 @@ class TestGroupedRankParity:
             == oracle_rank(gid, keys)
 
 
+class TestPackedKey:
+    """The packed sort of calls with at least ``PACKED_SORT_ROWS`` rows
+    (unpatched here): which keys it packs, and that it ranks as the
+    oracle does."""
+
+    N = 2 * kernel.PACKED_SORT_ROWS
+
+    def test_negative_keys(self):
+        # lifo's keys: (-arrival, -rid)
+        rng = np.random.default_rng(21)
+        gid = rng.integers(0, 40, size=self.N)
+        arrival = rng.integers(0, 30, size=self.N)
+        rid = rng.permutation(self.N)
+        keys = (-arrival, -rid)
+        with packed_calls() as taken:
+            rank = kernel.grouped_rank(gid, keys)
+        assert taken == [True]
+        assert rank.tolist() == oracle_rank(gid, keys)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.bool_])
+    def test_narrow_integer_keys_pack(self, dtype):
+        rng = np.random.default_rng(22)
+        high = 2 if dtype is np.bool_ else 200
+        gid = rng.integers(0, 30, size=self.N).astype(dtype)
+        keys = (rng.integers(0, high, size=self.N).astype(dtype),
+                rng.integers(0, high, size=self.N).astype(dtype))
+        with packed_calls() as taken:
+            rank = kernel.grouped_rank(gid, keys)
+        assert taken == [True]
+        assert rank.tolist() == oracle_rank(gid, keys)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint64])
+    def test_float_and_uint64_keys_take_lexsort(self, dtype):
+        rng = np.random.default_rng(23)
+        gid = rng.integers(0, 30, size=self.N)
+        doubled = rng.integers(0, 40, size=self.N)
+        if dtype is np.float64:  # halves: order kept by doubling
+            key = doubled / 2
+        else:  # values past int64's range
+            key = doubled.astype(np.uint64) + np.uint64(2**63)
+        rid = rng.permutation(self.N)
+        with packed_calls() as taken:
+            rank = kernel.grouped_rank(gid, (key, rid))
+        assert taken == [False]
+        assert rank.tolist() == oracle_rank(gid, (doubled, rid))
+
+    def test_ties_in_every_key_keep_row_order(self):
+        rng = np.random.default_rng(24)
+        gid = rng.integers(0, 3, size=self.N)
+        keys = (np.full(self.N, -7), np.zeros(self.N, dtype=np.int64))
+        with packed_calls() as taken:
+            rank = kernel.grouped_rank(gid, keys)
+        assert taken == [True]
+        assert rank.tolist() == oracle_rank(gid, keys)
+        one_group = np.zeros(self.N, dtype=np.int64)
+        assert kernel.grouped_rank(one_group, keys).tolist() \
+            == list(range(self.N))
+
+    @pytest.mark.parametrize("span,packs", [
+        (2**63 // 512, True),  # rows * span == 2**63: the top key fits
+        (2**63 // 512 + 1, False),  # one value more: past 63 bits
+    ], ids=["fits", "one-over"])
+    def test_width_limit(self, span, packs):
+        # 512 rows and one group leave the key 2**54 values of room
+        rng = np.random.default_rng(25)
+        low = -2**60
+        key = low + rng.integers(0, span, size=512)
+        key[:2] = low, low + span - 1  # the whole span
+        gid = np.zeros(512, dtype=np.int64)
+        with packed_calls() as taken:
+            rank = kernel.grouped_rank(gid, (key,))
+        assert taken == [packs]
+        assert rank.tolist() == oracle_rank(gid, (key,))
+
+    def test_no_deadline_beside_finite_deadlines_takes_lexsort(self):
+        # EDD's keys: NO_DEADLINE next to deadlines from 0 span 2**63
+        rng = np.random.default_rng(26)
+        gid = rng.integers(0, 30, size=self.N)
+        deadline = rng.integers(0, 50, size=self.N)
+        deadline[::3] = NO_DEADLINE
+        keys = (deadline, rng.integers(0, 20, size=self.N),
+                rng.permutation(self.N))
+        with packed_calls() as taken:
+            rank = kernel.grouped_rank(gid, keys)
+        assert taken == [False]
+        assert rank.tolist() == oracle_rank(gid, keys)
+
+    def test_small_calls_never_pack(self):
+        rng = np.random.default_rng(27)
+        n = kernel.PACKED_SORT_ROWS - 1
+        gid, keys = random_case(rng, n)
+        with packed_calls() as taken:
+            rank = kernel.grouped_rank(gid, keys)
+        assert taken == []
+        assert rank.tolist() == oracle_rank(gid, keys)
+
+
 class TestAdmitParity:
+    @staticmethod
+    def _check(tick, threshold):
+        node_id, axis, d, keys, B, c = tick
+        with mock.patch.object(kernel, "PACKED_SORT_ROWS", threshold):
+            fwd, store = kernel.admit(node_id, axis, d, keys, B, c)
+        assert (fwd.tolist(), store.tolist()) \
+            == oracle_admit(node_id, axis, keys, B, c)
+
     @settings(max_examples=200)
     @given(ticks())
     def test_matches_sorted_oracle(self, tick):
-        node_id, axis, d, keys, B, c = tick
-        fwd, store = kernel.admit(node_id, axis, d, keys, B, c)
-        assert (fwd.tolist(), store.tolist()) \
-            == oracle_admit(node_id, axis, keys, B, c)
+        self._check(tick, ALL_LEXSORT)
+
+    @settings(max_examples=200)
+    @given(ticks())
+    def test_matches_sorted_oracle_packed(self, tick):
+        self._check(tick, ALL_PACKED)
 
     @pytest.mark.parametrize("B,c", [(0, 1), (1, 1), (2, 1), (1, 3)])
     def test_scalar_capacities(self, B, c):
