@@ -18,7 +18,11 @@ Model 2 rule as a decision program of the Model 1 array loop (so every
 decision passes that loop's checks), and every E14 point asserts
 reference/fast bit-identity before reporting.
 ``test_model2_engine_speedup`` pins the payoff (fast >= 3x on the E14
-sweep scale; about 5x measured, with the loop's decision checks).  It
+sweep scale, each side the fastest of three runs; about 5x measured,
+with the loop's decision checks).  The instance is a
+:class:`~repro.network.packet.RequestTable`: the fast engine reads its
+columns, while the reference engine builds its 2048 request objects
+inside its own ``engine_time``.  It
 needs the full-size sweep, so it is skipped under ``REPRO_BENCH_SMOKE``;
 CI runs it on its own.  Like every wall-clock table it runs with
 ``cache="off"`` and emits an ``ENGINE_*`` output, which is exempt from
@@ -38,6 +42,7 @@ SIZES = trim((16, 32, 64))
 TRIALS = 4
 MODELS = ("ntg", "ntg-model2")
 ENGINES = ("reference", "fast")
+RUNS = 3  # per side of the speedup bar; the fastest counts
 
 #: measured fields that must be bit-identical across engines
 _MEASURES = ("throughput", "late", "rejected", "preempted", "steps",
@@ -139,12 +144,18 @@ def test_model2_engine_speedup():
     rows = []
     speedups = {}
     for algo in MODELS:
-        ref, fast = run_batch(
+        # each side is timed as the fastest of RUNS runs: one run a side
+        # read anywhere from 3.6x to 7.1x on one commit
+        runs = [run_batch(
             [Scenario(net, workload, algo, horizon=4 * n, seed=7,
                       engine=engine) for engine in ENGINES],
-            cache="off", compute_bound=False)
-        _assert_engine_parity(ref, fast, f"speedup instance {algo}")
-        assert ref.engine == "reference" and fast.engine == "fast"
+            cache="off", compute_bound=False) for _ in range(RUNS)]
+        for ref, fast in runs:
+            _assert_engine_parity(ref, fast, f"speedup instance {algo}")
+            assert ref.engine == "reference" and fast.engine == "fast"
+        ref = min((ref for ref, _fast in runs), key=lambda r: r.engine_time)
+        fast = min((fast for _ref, fast in runs),
+                   key=lambda r: r.engine_time)
         speedups[algo] = ref.engine_time / max(1e-9, fast.engine_time)
         rows.append([algo, ref.throughput, f"{ref.engine_time:.3f}",
                      f"{fast.engine_time:.3f}", f"{speedups[algo]:.1f}x"])

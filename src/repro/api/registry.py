@@ -6,9 +6,12 @@ Three process-wide registries map stable string names to runnable entries:
   **params) -> SimulationResult``.  Planning routers are wrapped by
   :func:`planner_adapter`, which routes, replays the plan through the
   simulation engine, and cross-checks consistency.
-* :data:`WORKLOADS` -- request generators ``fn(network, **params) -> list``;
-  ``rng`` is threaded through only when the generator's signature accepts
-  it (recorded as :attr:`RegistryEntry.takes_rng`).
+* :data:`WORKLOADS` -- request generators ``fn(network, **params)``
+  returning a sequence of requests: a list, or (``uniform``) a
+  :class:`~repro.network.packet.RequestTable` whose request objects are
+  built only when iterated or indexed, so consumers must not assume a
+  list; ``rng`` is threaded through only when the generator's signature
+  accepts it (recorded as :attr:`RegistryEntry.takes_rng`).
 * :data:`TOPOLOGIES` -- network builders ``fn(dims, buffer_size, capacity)
   -> Network``.
 

@@ -42,6 +42,7 @@ from repro.api.registry import ALGORITHMS, WORKLOADS
 from repro.api.spec import Scenario
 from repro.baselines import offline
 from repro.network.engine import resolve_engine_name
+from repro.network.packet import RequestTable
 from repro.util.errors import ValidationError
 
 
@@ -345,7 +346,8 @@ def _report(scenario: Scenario, network, requests, result,
     else:
         bound = math.nan
 
-    arrivals = {r.rid: r.arrival for r in requests}
+    table = RequestTable.from_requests(requests)  # the columns: no objects
+    arrivals = dict(zip(table.rid.tolist(), table.arrival.tolist()))
     latencies = [t - arrivals[rid] for rid, t in result.stats.delivery_times.items()]
     latency_mean = float(sum(latencies) / len(latencies)) if latencies else math.nan
     latency_max = float(max(latencies)) if latencies else math.nan

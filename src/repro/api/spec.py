@@ -263,9 +263,11 @@ class WorkloadSpec(_NamedParams):
 
     _KIND = "workload"
 
-    def build(self, network, rng=None) -> list:
+    def build(self, network, rng=None):
         """Generate the request sequence (threading ``rng`` only into
-        generators that accept it)."""
+        generators that accept it): a list, or a
+        :class:`~repro.network.packet.RequestTable` that the array engines
+        read as columns (see :data:`~repro.api.registry.WORKLOADS`)."""
         entry = WORKLOADS.get(self.name)
         kwargs = self.kwargs()
         entry.validate_params(kwargs)

@@ -83,11 +83,16 @@ otherwise.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol
 
 import numpy as np
 
+# NO_DEADLINE encodes ``deadline = infinity`` in the ABI's int64 deadline
+# arrays; re-exported from the request columns' module
+from repro.network.packet import NO_DEADLINE  # noqa: F401
 from repro.network.simulator import SimulationResult
 from repro.util.errors import ValidationError
 
@@ -96,9 +101,6 @@ ENGINE_ENV_VAR = "REPRO_ENGINE"
 
 #: the valid engine names (implementations resolve lazily in make_engine)
 ENGINE_NAMES = ("reference", "fast", "batch")
-
-#: encodes ``deadline = infinity`` in the ABI's int64 deadline arrays
-NO_DEADLINE = int(np.iinfo(np.int64).max)
 
 
 class Engine(Protocol):
@@ -137,7 +139,13 @@ class StepView:
     that row order.  ``index`` maps rows back to the engine's request
     order (``requests[index[i]]`` is row ``i``'s
     :class:`~repro.network.packet.Request`), which is how compiled
-    policies (plan replay) look up per-request tables.
+    policies (plan replay) look up per-request tables.  ``requests`` is a
+    sequence: in a stack of one job it is the job's own, and in a stack
+    of several jobs of one dimension a
+    :class:`~repro.network.packet.RequestTable` over the stacked columns,
+    so no request object is built unless a policy reads one; a stack
+    padded to a wider dimension materializes every job's requests into
+    one tuple.
     """
 
     t: int  # current time step
@@ -146,7 +154,7 @@ class StepView:
     #: ``edge_capacity``) -- not a :class:`~repro.network.topology.Network`
     #: -- on every array engine
     network: object
-    requests: tuple  # all requests of the run, in engine order
+    requests: Sequence  # all requests of the run, in engine order
     index: np.ndarray  # row -> position in ``requests``
     node_id: np.ndarray  # flat row-major node index (Network.node_index)
     loc: np.ndarray  # (k, d) current coordinates
@@ -166,13 +174,18 @@ class StepView:
     def size(self) -> int:
         return self.rid.size
 
-    def remaining(self) -> np.ndarray:
-        """Hops left to each destination (the nearest-to-go key).
+    @cached_property
+    def togo(self) -> np.ndarray:
+        """``(k, d)`` hops left per axis, computed once per view.
 
         Delegates to the network's geometry so wrapping axes (ring,
         torus) count mod the side length.
         """
-        return _row_sums(self.network.togo_array(self.loc, self.dst))
+        return self.network.togo_array(self.loc, self.dst)
+
+    def remaining(self) -> np.ndarray:
+        """Hops left to each destination (the nearest-to-go key)."""
+        return _row_sums(self.togo)
 
     def hops(self) -> np.ndarray:
         """Hops travelled so far (exact for 1-bend routes; wrapping axes

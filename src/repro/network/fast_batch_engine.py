@@ -51,6 +51,9 @@ cache (fuzz-enforced by ``tests/test_differential.py``).
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.network import kernel
@@ -69,6 +72,7 @@ from repro.network.fast_engine import (
     FastEngine,
     greedy_masks,
 )
+from repro.network.packet import RequestTable
 from repro.network.simulator import Policy
 from repro.network.stats import NetworkStats
 from repro.network.trace import TraceRecorder
@@ -366,6 +370,13 @@ def _run_stack(jobs, engine: str) -> list:
     program; one :class:`~repro.network.simulator.SimulationResult` per
     job, in job order, labelled ``engine``.
 
+    A job's requests may be any sequence; a
+    :class:`~repro.network.packet.RequestTable` hands over its columns.
+    The policies see a stack of one job's own sequence, and a stack of
+    several jobs of one dimension as one table over the stacked columns
+    (equal request objects, built only if a policy reads one); a padded
+    stack builds every job's objects.
+
     Policies must already be eligible for the stack (the engine
     constructors check).  Each job keeps the semantics of its own loop
     over ``0..horizon``: it stops early once its packets drained and no
@@ -385,23 +396,33 @@ def _run_stack(jobs, engine: str) -> list:
     horizon = np.zeros(m, dtype=np.int64)
     B_j = np.zeros(m, dtype=np.int64)
     c_j = np.zeros(m, dtype=np.int64)
-    reqs_all: list = []
+    seqs: list = []
     parts: list = []
     for b, (network, _policy, requests, h) in enumerate(jobs):
-        reqs = tuple(requests)
-        reqs_all.extend(reqs)
-        cnt[b], horizon[b], n_nodes[b] = len(reqs), int(h), network.n
+        if not isinstance(requests, Sequence):
+            requests = tuple(requests)
+        seqs.append(requests)
+        cnt[b], horizon[b], n_nodes[b] = len(requests), int(h), network.n
         B_j[b], c_j[b] = network.buffer_size, network.capacity
         dims[b, :network.d] = network.dims
         wrap[b, :network.d] = network.wrap
-        src, dst, arrival, deadline, rid = _request_arrays(network, reqs)
+        src, dst, arrival, deadline, rid = _request_arrays(network, requests)
         if network.d < d:  # padded axes: coordinate 0 on a side of 1
             pad = ((0, 0), (0, d - network.d))
             src, dst = np.pad(src, pad), np.pad(dst, pad)
         parts.append((src, dst, arrival, deadline, rid))
-    src, dst, arrival, deadline, rid = (
-        np.concatenate(column) for column in zip(*parts))
-    reqs_all = tuple(reqs_all)
+    # the loop writes only to its own arrays (loc is a copy), so the
+    # columns may be a table's read-only ones
+    if m == 1:
+        src, dst, arrival, deadline, rid = parts[0]
+        reqs_all = seqs[0]
+    else:
+        src, dst, arrival, deadline, rid = (
+            np.concatenate(column) for column in zip(*parts))
+        # unpadded, the stacked columns are every job's requests in order
+        reqs_all = RequestTable(src, dst, arrival, deadline, rid) \
+            if all(job[0].d == d for job in jobs) \
+            else tuple(itertools.chain.from_iterable(seqs))
     off = np.concatenate(([0], np.cumsum(cnt)[:-1]))
     bid = np.repeat(np.arange(m), cnt)
 

@@ -6,19 +6,38 @@ deadline.  ``deadline=None`` encodes ``d_i = infinity`` (no deadline).
 
 Nodes are coordinate tuples; a uni-directional line uses 1-tuples.  The
 convenience constructor :meth:`Request.line` accepts plain integers.
+
+A :class:`RequestTable` holds a whole request sequence as int64 columns:
+the array engines read the columns, and the :class:`Request` objects are
+built only for the consumers that iterate or index it.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.util.errors import ValidationError
 
 Node = tuple  # coordinate tuple, e.g. (x,) on a line or (x, y) on a grid
 
+#: encodes ``deadline = infinity`` in int64 deadline columns
+NO_DEADLINE = int(np.iinfo(np.int64).max)
+
 _rid_counter = itertools.count()
+
+
+def reserve_rids(count: int) -> np.ndarray:
+    """``count`` consecutive request ids taken from the counter at once:
+    the ids ``count`` requests built one after another would get."""
+    if count <= 0:
+        return np.zeros(0, dtype=np.int64)
+    last = next(itertools.islice(_rid_counter, count - 1, None))
+    return np.arange(last - count + 1, last + 1, dtype=np.int64)
 
 
 def _as_node(value) -> Node:
@@ -121,6 +140,118 @@ class Request:
     def __repr__(self) -> str:  # compact, used heavily in test failure output
         dl = "inf" if self.deadline is None else str(self.deadline)
         return f"Request#{self.rid}({self.source}->{self.dest} @t={self.arrival} d={dl})"
+
+
+class RequestTable(Sequence):
+    """An immutable sequence of requests stored as int64 columns.
+
+    ``source`` and ``dest`` have shape ``(n, d)``; ``arrival``,
+    ``deadline`` (:data:`NO_DEADLINE` for none) and ``rid`` have shape
+    ``(n,)``.  The table takes the arrays and makes them read-only.  Its
+    :class:`Request` objects are built by :meth:`Request._trusted`, with
+    the column's rids, the first time something iterates or indexes the
+    table, and kept from then on; the array engines read the columns and
+    never build them.  A slice is a table; ``+`` with any sequence gives
+    a list.
+    """
+
+    __slots__ = ("source", "dest", "arrival", "deadline", "rid", "_requests")
+
+    def __init__(self, source, dest, arrival, deadline, rid, requests=None):
+        columns = [np.asarray(column, dtype=np.int64)
+                   for column in (source, dest, arrival, deadline, rid)]
+        source, dest, arrival, deadline, rid = columns
+        n = rid.shape
+        if source.ndim != 2 or dest.shape != source.shape or rid.ndim != 1 \
+                or source.shape[:1] != n or arrival.shape != n \
+                or deadline.shape != n:
+            raise ValidationError(
+                "request columns need shapes (n, d) for source and dest and "
+                "(n,) for arrival, deadline and rid, got " + ", ".join(
+                    f"{name} {column.shape}"
+                    for name, column in zip(self.__slots__, columns)))
+        for name, column in zip(self.__slots__, columns):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "_requests",
+                           None if requests is None else tuple(requests))
+
+    @classmethod
+    def from_requests(cls, requests) -> "RequestTable":
+        """The columns of ``requests`` (returned as is when it is already a
+        table); the table keeps the given objects.  Raises
+        :class:`ValidationError` when the requests mix dimensions."""
+        if isinstance(requests, cls):
+            return requests
+        requests = tuple(requests)
+        try:
+            source = np.array([r.source for r in requests], dtype=np.int64)
+            dest = np.array([r.dest for r in requests], dtype=np.int64)
+        except ValueError:  # ragged coordinates
+            source = None
+        if source is None or source.ndim != 2 \
+                or dest.shape != source.shape:
+            if not requests:
+                source = dest = np.zeros((0, 0), dtype=np.int64)
+            else:
+                raise ValidationError(
+                    "requests mix source and destination dimensions")
+        return cls(
+            source, dest, [r.arrival for r in requests],
+            [NO_DEADLINE if r.deadline is None else r.deadline
+             for r in requests],
+            [r.rid for r in requests], requests)
+
+    def columns(self) -> tuple:
+        """``(source, dest, arrival, deadline, rid)``."""
+        return self.source, self.dest, self.arrival, self.deadline, self.rid
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RequestTable is immutable (setting {name!r})")
+
+    def __reduce__(self):  # pickle and copy rebuild from the columns
+        return RequestTable, self.columns()
+
+    def __len__(self) -> int:
+        return self.rid.size
+
+    def _objects(self) -> tuple:
+        requests = self._requests
+        if requests is None:
+            deadlines = self.deadline.tolist()
+            if NO_DEADLINE in deadlines:
+                deadlines = [None if x == NO_DEADLINE else x
+                             for x in deadlines]
+            requests = tuple(map(
+                Request._trusted, map(tuple, self.source.tolist()),
+                map(tuple, self.dest.tolist()), self.arrival.tolist(),
+                deadlines, self.rid.tolist()))
+            object.__setattr__(self, "_requests", requests)
+        return requests
+
+    def __iter__(self):
+        return iter(self._objects())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RequestTable(
+                *(column[index] for column in self.columns()),
+                None if self._requests is None else self._requests[index])
+        return self._objects()[index]
+
+    def __add__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return [*self, *other]
+
+    def __radd__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return [*other, *self]
+
+    def __repr__(self) -> str:
+        return (f"RequestTable({len(self)} requests, "
+                f"d={self.source.shape[1]})")
 
 
 class DeliveryStatus(enum.Enum):

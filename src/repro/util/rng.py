@@ -42,6 +42,22 @@ def spawn_generators(seed, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in seq.spawn(n)]
 
 
+def lemire(words, n) -> tuple:
+    """numpy's Lemire step for ``rng.integers(low, low + n)`` on raw
+    32-bit ``words``, vectorized: ``(offsets, rejected)``.
+
+    ``words`` is a uint64 array of words ``rng.integers(0, 2**32,
+    size=...)`` returned; ``n`` is a range in ``1..2**32-1``, a scalar or
+    a uint64 array broadcasting against ``words``.  ``offsets`` (int64)
+    is the high half of ``w * n``; ``rejected`` marks the words numpy
+    would discard and replace by the next word (the low half below
+    ``2**32 % n``).  A range of 1 yields offset 0 and never rejects,
+    though a scalar draw of it takes no word.
+    """
+    m = words * n
+    return (m >> 32).view(np.int64), (m & 0xFFFFFFFF) < _WORD % n
+
+
 @contextmanager
 def bounded_draws(rng: np.random.Generator, words: int):
     """Yield ``draw(low, high)``, equal to ``int(rng.integers(low, high))``.

@@ -39,7 +39,7 @@ from repro.core.deterministic import DeterministicRouter
 from repro.network.engine import StepView, VectorDecision
 from repro.network.fast_batch_engine import FastBatchEngine, _enforce_loads
 from repro.network.fast_engine import FastEngine
-from repro.network.packet import Request
+from repro.network.packet import Request, RequestTable
 from repro.network.simulator import Decision, PlanPolicy, Policy, Simulator
 from repro.network.topology import GridNetwork, LineNetwork, TorusNetwork
 from repro.util.errors import CapacityError, ValidationError
@@ -532,3 +532,45 @@ class TestBoundDiskCache:
         # corruption degrades to a miss, never a wrong bound
         store.bound_path(scenario).write_text("{not json")
         assert store.load_bound(scenario) is None
+
+
+class _RequestsProbe(EarliestDeadlinePolicy):
+    """EDD that records what ``view.requests`` says about its rows."""
+
+    batch_program = "probe"
+
+    def __init__(self):
+        self.views = []
+
+    def decide_vector(self, view: StepView) -> VectorDecision:
+        self.views.append((type(view.requests), [
+            view.requests[i] for i in view.index.tolist()], view.rid))
+        return super().decide_vector(view)
+
+
+class TestStackedRequests:
+    """``StepView.requests`` of a multi-job stack: one table over the
+    stacked columns when no job is padded, every job's own objects when
+    one is; either way ``requests[index[i]]`` is row ``i``'s request."""
+
+    @pytest.mark.parametrize("dims", [((4, 4), (5, 3)), ((6,), (4, 4))])
+    def test_rows_see_their_requests(self, dims):
+        jobs, originals = [], {}
+        probe = _RequestsProbe()
+        for k, side in enumerate(dims):
+            net = (LineNetwork(side[0], 1, 1) if len(side) == 1
+                   else GridNetwork(side, 1, 1))
+            reqs = uniform_requests(net, 30, 6, rng=k)
+            originals.update((r.rid, r) for r in reqs)
+            jobs.append((net, probe, reqs if k else list(reqs), 30))
+        FastBatchEngine(jobs).run_many()
+        padded = len(dims[0]) != len(dims[1])
+        assert probe.views
+        for kind, requests, rid in probe.views:
+            assert kind is (tuple if padded else RequestTable)
+            assert [r.rid for r in requests] == rid.tolist()
+            for r in requests:
+                want = originals[r.rid]
+                assert (r.source, r.dest, r.arrival, r.deadline) == \
+                    (want.source, want.dest, want.arrival, want.deadline)
+                assert r is want or not padded

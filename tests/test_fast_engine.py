@@ -7,14 +7,19 @@ same delivery times -- across workload families, grid shapes, buffer and
 capacity settings, and priority orders.
 """
 
+import hypothesis
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.greedy import GreedyPolicy, run_greedy
 from repro.baselines.nearest_to_go import NearestToGoPolicy, run_nearest_to_go
 from repro.core.deterministic import DeterministicRouter
 from repro.network.engine import make_engine, resolve_engine_name
-from repro.network.fast_engine import FastEngine
-from repro.network.packet import Request
+from repro.network.fast_batch_engine import _StackedNetworkView
+from repro.network.fast_engine import FastEngine, one_bend_axes
+from repro.network.packet import Request, RequestTable
 from repro.network.simulator import Decision, Policy, Simulator, execute_plan
 from repro.network.topology import GridNetwork, LineNetwork
 from repro.util.errors import CapacityError, ValidationError
@@ -351,3 +356,101 @@ class TestVectorABI:
             FastEngine(net, Hoarder()).run(reqs, 30)
         with pytest.raises(CapacityError):
             Simulator(net, Hoarder()).run(reqs, 30)
+
+
+class TestRequestColumns:
+    """The array engines and the report read a ``RequestTable``'s columns
+    and build none of its request objects."""
+
+    def test_fast_engine_run_leaves_table_unmaterialized(self):
+        net = GridNetwork((8, 8), buffer_size=1, capacity=1)
+        table = uniform_requests(net, 300, 24, rng=0)
+        copy = RequestTable(*table.columns())
+        for policy in (GreedyPolicy("fifo"), NearestToGoPolicy()):
+            fast = FastEngine(net, policy).run(table, 64)
+            ref = Simulator(net, policy).run(copy, 64)
+            assert fast.status == ref.status
+            assert fast.stats.delivery_times == ref.stats.delivery_times
+        assert table._requests is None
+        assert copy._requests is not None
+
+    @pytest.mark.parametrize("network, algorithm", [
+        (("grid", (8, 8), 1, 1), "ntg"),
+        (("grid", (8, 8), 2, 2), {"name": "greedy",
+                                  "params": {"priority": "lifo"}}),
+        (("line", (32,), 3, 1), "ntg-model2"),
+    ])
+    def test_run_builds_no_request(self, monkeypatch, network, algorithm):
+        from repro.api import NetworkSpec, Scenario, WorkloadSpec, run, run_batch
+
+        scenario = Scenario(NetworkSpec(*network),
+                            WorkloadSpec("uniform", {"num": 200,
+                                                     "horizon": 16}),
+                            algorithm, horizon=80, seed=3)
+        want = run(scenario.replace(engine="reference"), compute_bound=False)
+
+        def refuse(table):
+            raise AssertionError("a Request object was built")
+
+        monkeypatch.setattr(RequestTable, "_objects", refuse)
+        for engine in ("fast", "batch"):
+            got = run(scenario.replace(engine=engine), compute_bound=False)
+            assert got == want.replace(scenario=got.scenario,
+                                       engine=got.engine)
+            assert got.engine == "fast"
+        if algorithm != "ntg-model2":  # a stack of two jobs
+            stacked = run_batch([scenario.replace(engine="batch"),
+                                 scenario.replace(engine="batch", seed=4)],
+                                compute_bound=False)
+            assert stacked[0] == want.replace(scenario=stacked[0].scenario,
+                                              engine="batch")
+
+
+#: jobs of one step's candidate rows: (side lengths, wrapping axes)
+AXIS_JOBS = {
+    "line": [((9,), (False,))],
+    "ring": [((7,), (True,))],
+    "grid": [((5, 4), (False, False))],
+    "3-d grid": [((3, 4, 2), (False, False, False))],
+    "torus": [((4, 5), (True, True))],
+    "padded stack": [((6,), (False,)), ((4, 3), (False, False)),
+                     ((3, 3), (True, True))],
+    "padded 3-d stack": [((5,), (True,)), ((3, 2, 4), (False,) * 3)],
+}
+
+
+@st.composite
+def candidate_rows(draw):
+    """``(loc, dst, dims, wrap)`` of one step's candidates, padded to the
+    widest job like the stacked loop pads them; no row is at its
+    destination (deliveries come first)."""
+    jobs = AXIS_JOBS[draw(st.sampled_from(sorted(AXIS_JOBS)))]
+    d = max(len(dims) for dims, _wrap in jobs)
+    rows = []
+    for _ in range(draw(st.integers(1, 30))):
+        dims, wrap = draw(st.sampled_from(jobs))
+        loc = [draw(st.integers(0, side - 1)) for side in dims]
+        dst = [draw(st.integers(0 if w else x, side - 1))
+               for x, side, w in zip(loc, dims, wrap)]
+        if loc != dst:
+            pad = d - len(dims)
+            rows.append((loc + [0] * pad, dst + [0] * pad,
+                         list(dims) + [1] * pad, list(wrap) + [False] * pad))
+    hypothesis.assume(rows)
+    loc, dst, dims, wrap = (np.array(column) for column in zip(*rows))
+    return loc, dst, dims, wrap.astype(bool)
+
+
+class TestOneBendAxis:
+    """``one_bend_axes`` reads up to two axes off the first column; it
+    must pick what ``np.argmax(togo > 0, axis=1)`` picks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(candidate_rows())
+    def test_matches_argmax(self, rows):
+        loc, dst, dims, wrap = rows
+        network = _StackedNetworkView(loc.shape[1], 1, 1, dims, wrap)
+        togo = network.togo_array(loc, dst)
+        axis = one_bend_axes(togo)
+        assert axis.dtype == np.int64
+        np.testing.assert_array_equal(axis, np.argmax(togo > 0, axis=1))

@@ -1,10 +1,20 @@
 """Tests for repro.network.packet: requests, packets, statuses."""
 
+import copy
 import dataclasses
+import pickle
 
+import numpy as np
 import pytest
 
-from repro.network.packet import DeliveryStatus, Packet, Request
+from repro.network.packet import (
+    NO_DEADLINE,
+    DeliveryStatus,
+    Packet,
+    Request,
+    RequestTable,
+    reserve_rids,
+)
 from repro.network.topology import GridNetwork, LineNetwork, RingNetwork
 from repro.util.errors import ValidationError
 
@@ -140,6 +150,103 @@ class TestTrustedRequest:
         assert c.rid == b.rid + 1
         assert sorted([b, c, a]) == [c, a, b]
         assert a != Request((0,), (2,), 5, rid=b.rid)
+
+
+def fields(requests) -> list:
+    return [(r.source, r.dest, r.arrival, r.deadline, r.rid)
+            for r in requests]
+
+
+def grid_table(n=6) -> RequestTable:
+    """``n`` requests on a 2-d grid, every other one with a deadline."""
+    source = np.array([[i, i % 3] for i in range(n)])
+    deadline = [NO_DEADLINE if i % 2 else 20 + i for i in range(n)]
+    return RequestTable(source, source + [1, 2], np.arange(n) % 4, deadline,
+                        reserve_rids(n))
+
+
+class TestRequestTable:
+    """Requests as int64 columns; the objects are built on first use, by
+    ``Request._trusted`` with the column's rids."""
+
+    def test_len_and_iteration(self):
+        table = grid_table()
+        assert len(table) == 6
+        requests = list(table)
+        first = int(table.rid[0])
+        assert fields(requests) == [
+            ((i, i % 3), (i + 1, i % 3 + 2), i % 4,
+             None if i % 2 else 20 + i, first + i) for i in range(6)]
+        assert all(type(x) is int for r in requests
+                   for x in (*r.source, *r.dest, r.arrival, r.rid))
+
+    def test_index(self):
+        table = grid_table()
+        requests = list(table)
+        assert table[0] is requests[0] and table[-1] is requests[-1]
+        assert table[np.int64(2)] is requests[2]
+        with pytest.raises(IndexError):
+            table[6]
+
+    def test_slice_is_a_table(self):
+        table = grid_table()
+        part = table[1:5:2]
+        assert isinstance(part, RequestTable) and len(part) == 2
+        assert fields(part) == fields(list(table)[1:5:2])
+        assert len(table[3:3]) == 0 and list(table[3:3]) == []
+
+    def test_add_with_a_list(self):
+        # as congestion_mix_instance concatenates its parts
+        table = grid_table(3)
+        extra = [Request.line(0, 1, 0)]
+        assert fields(extra + table) == fields(extra) + fields(table)
+        assert fields(table + extra) == fields(table) + fields(extra)
+        assert isinstance(extra + table, list)
+
+    def test_repeated_materialization(self):
+        table = grid_table()
+        again = RequestTable(*table.columns())
+        assert list(table) == list(table) == list(again)
+        assert fields(table) == fields(again)
+        assert [repr(r) for r in table] == [repr(r) for r in again]
+
+    def test_next_request_takes_the_next_rid(self):
+        table = grid_table()
+        after = Request.line(0, 1, 0)
+        assert after.rid == int(table.rid[-1]) + 1
+        list(table)  # materializing takes no rid
+        assert Request.line(0, 1, 0).rid == after.rid + 1
+
+    def test_from_requests(self):
+        requests = [Request((0, 1), (2, 3), 4), Request((1, 1), (1, 2), 0, 9)]
+        table = RequestTable.from_requests(requests)
+        assert table[0] is requests[0] and table[1] is requests[1]
+        assert table.source.tolist() == [[0, 1], [1, 1]]
+        assert table.deadline.tolist() == [NO_DEADLINE, 9]
+        assert table.rid.tolist() == [r.rid for r in requests]
+        assert RequestTable.from_requests(table) is table
+        assert len(RequestTable.from_requests([])) == 0
+        with pytest.raises(ValidationError, match="mix"):
+            RequestTable.from_requests([Request.line(0, 1, 0), *requests])
+
+    def test_immutable(self):
+        table = grid_table()
+        with pytest.raises(ValueError):
+            table.arrival[0] = 5
+        with pytest.raises(AttributeError):
+            table.arrival = table.arrival + 1
+
+    def test_pickle_and_copy(self):
+        table = grid_table()
+        for twin in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table)):
+            assert isinstance(twin, RequestTable)
+            assert fields(twin) == fields(table)
+
+    def test_shapes_checked(self):
+        with pytest.raises(ValidationError, match="source"):
+            RequestTable([0, 1], [[1], [2]], [0, 0], [0, 0], [0, 1])
+        with pytest.raises(ValidationError, match="rid"):
+            RequestTable([[0]], [[1]], [0], [0], [0, 1])
 
 
 class TestPacket:

@@ -1,5 +1,7 @@
 """Tests for the workload generators."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from repro.network.topology import (
     TorusNetwork,
 )
 from repro.util.errors import ValidationError
+from repro.workloads import uniform as uniform_module
 from repro.workloads import (
     bursty_requests,
     clogging_instance,
@@ -80,24 +83,43 @@ def scalar_uniform(network, num, horizon, rng, min_distance=1):
     return out
 
 
+BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox,
+                  np.random.SFC64)
+
+#: arrival ranges: a range of 1 takes no word, 2**31 + 1 rejects about
+#: half its words, and 2**32 and up leave the Lemire step
+HORIZONS = (0, 1, 2, 7, 10**6, 2**31 + 1, 2**32, 2**40)
+
+
 @st.composite
 def uniform_calls(draw):
     dims = tuple(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3)))
     diameter = sum(l - 1 for l in dims)
-    # up to 40 requests fit one block; 600-700 requests on 3 axes need
-    # more than the 4096-word cap
+    # both sides of VECTOR_MIN; 600-700 requests on 3 axes need more
+    # than one window
     num = draw(st.integers(0, 40) | st.integers(600, 700))
     # min_distance = diameter + 1 forces the far-corner fallback after 64
     # attempts a request: keep that to the small calls
     top = diameter + 1 if num <= 40 else diameter
-    return (Network(dims, 1, 1), num,
-            draw(st.sampled_from((0, 1, 2, 7, 10**6))),
-            draw(st.integers(0, top)), draw(st.integers(0, 2**32 - 1)))
+    return (Network(dims, 1, 1), num, draw(st.sampled_from(HORIZONS)),
+            draw(st.integers(-1, top)), draw(st.integers(0, 2**32 - 1)),
+            draw(st.sampled_from(BIT_GENERATORS)))
 
 
-def assert_same_as_scalar(network, num, horizon, min_distance, seed):
-    want_rng = np.random.default_rng(seed)
-    got_rng = np.random.default_rng(seed)
+def same_state(a, b) -> bool:
+    """Equal bit-generator states (MT19937 keeps an array in its own)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k])
+                                            for k in a)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def assert_same_as_scalar(network, num, horizon, min_distance, seed,
+                          bit_generator=np.random.PCG64):
+    want_rng = np.random.Generator(bit_generator(seed))
+    got_rng = np.random.Generator(bit_generator(seed))
     want = scalar_uniform(network, num, horizon, want_rng, min_distance)
     got = uniform_requests(network, num, horizon, rng=got_rng,
                            min_distance=min_distance)
@@ -108,22 +130,82 @@ def assert_same_as_scalar(network, num, horizon, min_distance, seed):
         assert [r.rid for r in got] == list(range(got[0].rid,
                                                   got[0].rid + num))
     # deadline and congestion-mix keep drawing from this generator
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert same_state(got_rng.bit_generator.state,
+                      want_rng.bit_generator.state)
 
 
 class TestUniformStream:
-    """The raw-word stream gives the same requests, rids and end state as
-    one ``rng.integers`` call per coordinate."""
+    """The raw-word windows and the one-at-a-time loop give the same
+    requests, rids and end state as one ``rng.integers`` call per
+    coordinate."""
 
     @settings(max_examples=40, deadline=None)
     @given(uniform_calls())
     def test_matches_scalar_generator(self, call):
         assert_same_as_scalar(*call)
 
+    @settings(max_examples=40, deadline=None)
+    @given(uniform_calls())
+    def test_many_windows(self, call):
+        # windows of 5 attempt starts: requests, failing attempts and
+        # far-corner fallbacks cross window edges
+        with mock.patch.object(uniform_module, "WINDOW", 5):
+            assert_same_as_scalar(*call)
+
     def test_full_size_grid(self):
-        # the 48x48 grid of perfbench's large_grid, over three blocks
+        # the 48x48 grid of perfbench's large_grid, over three windows
         for seed in range(3):
             assert_same_as_scalar(GridNetwork((48, 48)), 2000, 128, 1, seed)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    @pytest.mark.parametrize("horizon", [2**31 + 1, 2**32, 2**40])
+    def test_rejecting_and_wide_arrival_ranges(self, horizon, bit_generator):
+        # 2**31 + 1: the walk meets a rejection within a few requests and
+        # the one-at-a-time loop finishes; 2**32 and up: that loop alone
+        for seed in range(3):
+            assert_same_as_scalar(GridNetwork((6, 6)), 300, horizon, 1, seed,
+                                  bit_generator)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_size_crossover(self, offset, bit_generator):
+        num = uniform_module.VECTOR_MIN + offset
+        for dims in ((4, 4), (10, 10), (32,), (3, 4, 5)):
+            assert_same_as_scalar(Network(dims, 1, 1), num, 48, 1, 5,
+                                  bit_generator)
+
+
+class TestUniformNum:
+    """A bad ``num`` is refused before anything is drawn."""
+
+    @pytest.mark.parametrize("num", [-5, -1, 2.5, 3.0, True, False, "7",
+                                     None])
+    def test_refused_before_any_draw(self, num):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError, match="num must be an integer"):
+            uniform_requests(GridNetwork((4, 4)), num, 5, rng=rng)
+        assert rng.bit_generator.state == state
+        first = Request.line(0, 1, 0).rid
+        with pytest.raises(ValidationError, match="num"):
+            uniform_requests(GridNetwork((4, 4)), num, 5, rng=rng)
+        assert Request.line(0, 1, 0).rid == first + 1  # no rid taken
+
+    @pytest.mark.parametrize("num", [-5, 2.5, True])
+    def test_refused_by_run(self, num):
+        from repro.api import NetworkSpec, Scenario, WorkloadSpec, run
+
+        scenario = Scenario(NetworkSpec("grid", (4, 4), 1, 1),
+                            WorkloadSpec("uniform", {"num": num,
+                                                     "horizon": 8}),
+                            "ntg", horizon=20)
+        with pytest.raises(ValidationError, match="num must be an integer"):
+            run(scenario)
+
+    def test_integer_types_accepted(self):
+        net = GridNetwork((4, 4))
+        for num in (0, np.int64(30), np.uint8(3)):
+            assert len(uniform_requests(net, num, 5, rng=0)) == num
 
 
 class TestPoisson:
