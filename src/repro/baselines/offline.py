@@ -32,8 +32,8 @@ BOUND_METHODS = ("maxflow", "cd", "lp", "exact")
 
 def offline_bound(network: Network, requests, horizon: int,
                   method: str = "maxflow") -> float:
-    """An upper bound on the offline optimal throughput."""
-    requests = list(requests)
+    """An upper bound on the offline optimal throughput.  Every method
+    checks ``requests`` as a whole (:meth:`Network.check_requests`)."""
     if not requests:
         return 0.0
     if method == "maxflow":

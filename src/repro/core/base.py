@@ -76,7 +76,7 @@ class Plan:
 
 
 class Router:
-    """Interface of a planning router.
+    """Interface of a planning router over ``self.network``.
 
     Implementations process ``requests`` online (sorted by arrival, ties by
     id -- the adversary's presentation order) and return a :class:`Plan`.
@@ -85,6 +85,9 @@ class Router:
     def route(self, requests) -> Plan:
         raise NotImplementedError
 
-    @staticmethod
-    def arrival_order(requests) -> list:
-        return sorted(requests, key=lambda r: (r.arrival, r.rid))
+    def arrival_order(self, requests) -> list:
+        """``requests``, checked as a whole against ``self.network``
+        (:meth:`~repro.network.topology.Network.check_requests`), sorted
+        by arrival, ties by id."""
+        return sorted(self.network.check_requests(requests),
+                      key=lambda r: (r.arrival, r.rid))

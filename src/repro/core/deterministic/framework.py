@@ -72,7 +72,6 @@ class DeterministicRouter(Router):
         plan = Plan()
         counters = {"trivial": 0, "ipp_rejected": 0, "no_sink": 0, "accepted": 0}
         for request in self.arrival_order(requests):
-            self.network.check_request(request)
             if request.is_trivial():
                 # source == destination: delivered at injection
                 src = self.graph.source_vertex(request)

@@ -240,7 +240,6 @@ class ImprovedDeterministicRouter(Router):
     def route(self, requests) -> Plan:
         plan = Plan()
         for r in self.arrival_order(requests):
-            self.network.check_request(r)
             src = self.graph.source_vertex(r)
             if r.is_trivial():
                 if self.graph.valid_vertex(src):

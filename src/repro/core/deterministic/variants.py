@@ -60,7 +60,6 @@ class BufferlessLineRouter(Router):
         plan = Plan()
         n = self.network.length
         for r in self.arrival_order(requests):
-            self.network.check_request(r)
             a, b, t = r.source[0], r.dest[0], r.arrival
             arrive_at = t + (b - a)
             if r.is_trivial():

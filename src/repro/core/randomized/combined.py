@@ -57,7 +57,8 @@ class RegimeLineRouter(Router):
     def route(self, requests) -> Plan:
         plan = Plan()
         kept, dropped = proposition14_filter(
-            list(requests), self.network.buffer_size + self.network.min_capacity
+            self.network.check_requests(requests),
+            self.network.buffer_size + self.network.min_capacity,
         )
         for r in self.arrival_order(kept):
             if r.is_trivial():
@@ -163,9 +164,8 @@ class RandomizedLineRouter(Router):
         return "far+" if self.serve_far else "near"
 
     def route(self, requests) -> Plan:
-        requests = list(requests)
         kept, dropped = proposition14_filter(
-            requests, self.params.B + self.params.c
+            self.network.check_requests(requests), self.params.B + self.params.c
         )
         active = self.far_router if self.serve_far else self.near_router
         plan = active.route(kept)

@@ -140,12 +140,12 @@ class StepView:
     order (``requests[index[i]]`` is row ``i``'s
     :class:`~repro.network.packet.Request`), which is how compiled
     policies (plan replay) look up per-request tables.  ``requests`` is a
-    sequence: in a stack of one job it is the job's own, and in a stack
-    of several jobs of one dimension a
-    :class:`~repro.network.packet.RequestTable` over the stacked columns,
-    so no request object is built unless a policy reads one; a stack
-    padded to a wider dimension materializes every job's requests into
-    one tuple.
+    sequence: in a stack of one job the job's checked
+    :class:`~repro.network.packet.RequestTable` (its own objects), and in
+    a stack of several jobs of one dimension a table over the stacked
+    columns, so no request object is built unless a policy reads one; a
+    stack padded to a wider dimension materializes every job's requests
+    into one tuple.
     """
 
     t: int  # current time step

@@ -52,7 +52,6 @@ cache (fuzz-enforced by ``tests/test_differential.py``).
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -67,7 +66,6 @@ from repro.network.fast_engine import (
     _finalize_result,
     _lift,
     _priority_keys,
-    _request_arrays,
     BatchedPolicyAdapter,
     FastEngine,
     greedy_masks,
@@ -370,9 +368,9 @@ def _run_stack(jobs, engine: str) -> list:
     program; one :class:`~repro.network.simulator.SimulationResult` per
     job, in job order, labelled ``engine``.
 
-    A job's requests may be any sequence; a
-    :class:`~repro.network.packet.RequestTable` hands over its columns.
-    The policies see a stack of one job's own sequence, and a stack of
+    A job's requests may be any sequence; the loop reads the table that
+    :meth:`~repro.network.topology.Network.check_requests` returns for it.
+    The policies see a stack of one job as that table, and a stack of
     several jobs of one dimension as one table over the stacked columns
     (equal request objects, built only if a policy reads one); a padded
     stack builds every job's objects.
@@ -399,14 +397,13 @@ def _run_stack(jobs, engine: str) -> list:
     seqs: list = []
     parts: list = []
     for b, (network, _policy, requests, h) in enumerate(jobs):
-        if not isinstance(requests, Sequence):
-            requests = tuple(requests)
+        requests = network.check_requests(requests)
         seqs.append(requests)
         cnt[b], horizon[b], n_nodes[b] = len(requests), int(h), network.n
         B_j[b], c_j[b] = network.buffer_size, network.capacity
         dims[b, :network.d] = network.dims
         wrap[b, :network.d] = network.wrap
-        src, dst, arrival, deadline, rid = _request_arrays(network, requests)
+        src, dst, arrival, deadline, rid = requests.columns()
         if network.d < d:  # padded axes: coordinate 0 on a side of 1
             pad = ((0, 0), (0, d - network.d))
             src, dst = np.pad(src, pad), np.pad(dst, pad)

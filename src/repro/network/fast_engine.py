@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.network import kernel
 from repro.network.engine import StepView, VectorDecision
-from repro.network.packet import DeliveryStatus, Packet, RequestTable
+from repro.network.packet import DeliveryStatus, Packet
 from repro.network.simulator import (
     PlanPolicy,
     Policy,
@@ -86,48 +86,6 @@ def _priority_keys(name: str, arrival, rid, remaining):
     if name == "ntg":
         return (remaining, arrival, rid)
     raise ValidationError(f"unknown fast priority {name!r}")
-
-
-def _request_arrays(network, reqs):
-    """``(src, dst, arrival, deadline, rid)`` int64 arrays for ``reqs``
-    (validated against ``network``) -- the shared packet-state setup of
-    the fast engines.  A :class:`~repro.network.packet.RequestTable`
-    hands over its own columns (read-only) and builds no request object;
-    any other sequence is turned into one by
-    :meth:`RequestTable.from_requests`.
-
-    Validation is vectorized: one bounds check over the stacked
-    coordinate arrays instead of a per-request Python loop (the loop
-    dominated per-scenario setup in sweep-shaped batches).  On failure
-    the first offending request is re-checked through
-    ``network.check_request`` so the error is byte-identical to the
-    scalar path's.
-    """
-    if not len(reqs):
-        empty = np.zeros((0, network.d), dtype=np.int64)
-        return empty, empty.copy(), empty[:, 0], empty[:, 0], empty[:, 0]
-    try:
-        table = RequestTable.from_requests(reqs)
-    except ValidationError:  # ragged coordinates: mixed dimensionality
-        table = None
-    if table is None or table.source.shape[1] != network.d:
-        for r in reqs:
-            network.check_request(r)
-        raise AssertionError("check_request accepted a ragged batch")
-    src, dst, arrival, deadline, rid = table.columns()
-    dims = np.asarray(network.dims, dtype=np.int64)
-    ok = ((src >= 0) & (src < dims) & (dst >= 0) & (dst < dims)).all(axis=1)
-    # reachability (non-wrapping axes must not decrease) and deadline
-    # feasibility, matching Network.check_request row for row
-    wrap = np.asarray(network.wrap, dtype=bool)
-    if not wrap.all():
-        ok &= (src[:, ~wrap] <= dst[:, ~wrap]).all(axis=1)
-    distance = np.where(wrap, (dst - src) % dims, dst - src).sum(axis=1)
-    ok &= deadline >= arrival + distance
-    if not ok.all():
-        network.check_request(reqs[int(np.flatnonzero(~ok)[0])])
-        raise AssertionError("check_request accepted an invalid request")
-    return src, dst, arrival, deadline, rid
 
 
 def _finalize_result(stats, scode, rid, delivered_t, trace, engine="fast"):

@@ -121,10 +121,10 @@ class Model2LineSimulator:
         B = network.buffer_size
         n = network.length
         stats = NetworkStats()
+        requests = network.check_requests(requests)
         status = {r.rid: DeliveryStatus.PENDING for r in requests}
         arrivals: dict = {}
         for r in requests:
-            network.check_request(r)
             arrivals.setdefault(r.arrival, []).append(r)
 
         buffers: list = [[] for _ in range(n)]

@@ -135,8 +135,7 @@ class Simulator:
         status: dict = {}
 
         arrivals_by_time: dict = {}
-        for r in requests:
-            network.check_request(r)
+        for r in network.check_requests(requests):
             status[r.rid] = DeliveryStatus.PENDING
             arrivals_by_time.setdefault(r.arrival, []).append(r)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.network.packet import Node
+from repro.network.packet import Node, RequestTable
 from repro.util.errors import ValidationError
 
 
@@ -310,12 +310,16 @@ class Network:
     # -- request validation ----------------------------------------------
 
     def check_request(self, request) -> None:
-        """Validate that ``request`` fits this network: endpoints on the
-        grid, destination reachable, and deadline feasible."""
+        """Validate one request (Section 2.1): this grid's dimension,
+        ``arrival >= 0``, endpoints on the grid, the destination reachable
+        and ``deadline >= arrival + distance``.  The oracle and error text
+        of :meth:`check_requests`, which is what consumers call."""
         if request.dim != self.d:
             raise ValidationError(
                 f"request dimension {request.dim} does not match grid dimension {self.d}"
             )
+        if request.arrival < 0:  # Request refuses it; a table may hold one
+            raise ValidationError(f"arrival must be >= 0, got {request.arrival}")
         self.check_node(request.source)
         self.check_node(request.dest)
         distance = self.dist(request.source, request.dest)
@@ -325,6 +329,39 @@ class Network:
                 f"{request.source} -> {request.dest} arriving at {request.arrival} "
                 f"(distance {distance})"
             )
+
+    def check_requests(self, requests) -> RequestTable:
+        """Check a whole request sequence by :meth:`check_request`'s rule, in
+        one vectorized pass, and return its columns: a :class:`RequestTable`
+        as is, any other sequence as a table over its own objects (an empty
+        one at this grid's width).  On a failure the first offending row, or
+        each row of a sequence that mixes dimensions, goes through
+        :meth:`check_request`: the error is the one a per-request loop
+        raises."""
+        if not isinstance(requests, RequestTable):
+            requests = tuple(requests)
+            try:
+                requests = RequestTable.from_requests(requests)
+            except ValidationError:  # ragged: the requests mix dimensions
+                for r in requests:
+                    self.check_request(r)
+                raise AssertionError("check_request accepted mixed dimensions")
+        src, dst, arrival, deadline, _rid = requests.columns()
+        if src.shape[1] != self.d:
+            if not len(requests):
+                return RequestTable(*[np.zeros((0, self.d))] * 2, (), (), ())
+            self.check_request(requests[0])
+            raise AssertionError("check_request accepted a wrong dimension")
+        # on the grid, and no backward step on a non-wrapping axis
+        dims = self._dims_arr
+        ok = ((src >= 0) & (src < dims) & (dst >= 0) & (dst < dims)
+              & ((src <= dst) | self._wrap_arr)).all(axis=1)
+        ok &= (arrival >= 0) & (
+            deadline >= arrival + self.togo_array(src, dst).sum(axis=1))
+        if not ok.all():
+            self.check_request(requests[int(np.flatnonzero(~ok)[0])])
+            raise AssertionError("check_request accepted an invalid request")
+        return requests
 
     # -- paper parameters -------------------------------------------------
 

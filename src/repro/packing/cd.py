@@ -147,7 +147,8 @@ def cd_throughput_bound(network, requests, horizon: int) -> int:
     """
     from repro.packing.maxflow import throughput_upper_bound
 
-    requests = list(requests)
+    # checked here too: a zero cut bound returns before max-flow checks
+    requests = network.check_requests(requests)
     cut = cd_cut_bound(network, requests, horizon)
     if cut == 0:
         return 0

@@ -85,7 +85,8 @@ def exact_opt_small(network: Network, requests, horizon: int,
     Returns ``(value, chosen)`` where ``chosen`` maps request ids to the
     selected :class:`STPath` (an optimal routing witness).
     """
-    requests = [r for r in requests if r.arrival <= horizon]
+    requests = [r for r in network.check_requests(requests)
+                if r.arrival <= horizon]
     if len(requests) > request_limit:
         raise ValidationError(
             f"{len(requests)} requests exceed the exact-solver limit "

@@ -183,6 +183,7 @@ def _run_ipp_sketch(network, requests, horizon, *, rng=None, engine=None,
     from repro.spacetime.sketch import PlainSketchGraph
     from repro.spacetime.tiling import Tiling
 
+    requests = network.check_requests(requests)
     graph = SpaceTimeGraph(network, horizon)
     sketch = PlainSketchGraph(graph, Tiling((tile, tile)))
     ipp = OnlinePathPacking(sketch, pmax=network.pmax() if pmax is None else pmax)

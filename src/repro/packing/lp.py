@@ -125,15 +125,14 @@ def fractional_opt(network: Network, requests, horizon: int,
     Returns the throughput value; with ``return_details=True`` also a per-
     request array of served fractions.
     """
+    requests = [r for r in network.check_requests(requests)
+                if r.arrival <= horizon]
     if network.any_wrap:
         # the window construction encodes the closed-form grid metric
         raise ValidationError(
             "fractional_opt requires grid geometry (no wraparound axes); "
             "use throughput_upper_bound on rings and tori"
         )
-    requests = [r for r in requests if r.arrival <= horizon]
-    for r in requests:
-        network.check_request(r)
     d = network.d
     B = network.buffer_size
 

@@ -30,25 +30,22 @@ MAX_EDGES = 10_000_000
 
 
 def _windows(network: Network, requests, horizon: int):
-    """Validate ``requests`` and describe the live ones (``arrival <=
-    horizon``): per request, its source event vertex, the vertex of its
-    first destination copy, and its window width (``0`` when the
-    destination cannot be reached by ``min(deadline, horizon)``)."""
-    requests = list(requests)
-    for r in requests:
-        network.check_request(r)
-    live = [r for r in requests if r.arrival <= horizon]
-    d, dims, nt = network.d, network.dims, horizon + 1
-    src = np.array([r.source for r in live], dtype=np.int64).reshape(-1, d)
-    dst = np.array([r.dest for r in live], dtype=np.int64).reshape(-1, d)
-    arrival = np.array([r.arrival for r in live], dtype=np.int64)
-    hi = np.array([horizon if r.deadline is None else min(r.deadline, horizon)
-                   for r in live], dtype=np.int64)
+    """Check ``requests`` (:meth:`Network.check_requests`) and describe the
+    live ones (``arrival <= horizon``) from the table's ``source``,
+    ``dest``, ``arrival`` and ``deadline`` columns, building no request
+    object: per request, its source event vertex, the vertex of its first
+    destination copy, and its window width (``0`` when the destination
+    cannot be reached by ``min(deadline, horizon)``)."""
+    table = network.check_requests(requests)
+    live = table.arrival <= horizon
+    src, dst, arrival = table.source[live], table.dest[live], table.arrival[live]
+    hi = np.minimum(table.deadline[live], horizon)  # NO_DEADLINE: the horizon
     # network distance, not the closed-form r.distance: wrapping axes
     # shorten the earliest possible arrival
     lo = arrival + network.togo_array(src, dst).sum(axis=1)
-    return (np.ravel_multi_index(src.T, dims) * nt + arrival,
-            np.ravel_multi_index(dst.T, dims) * nt + lo,
+    nt = horizon + 1
+    return (np.ravel_multi_index(src.T, network.dims) * nt + arrival,
+            np.ravel_multi_index(dst.T, network.dims) * nt + lo,
             np.maximum(hi - lo + 1, 0))
 
 
