@@ -54,6 +54,7 @@ import os
 import pathlib
 from dataclasses import dataclass
 
+from repro.util import atomic_write
 from repro.util.errors import ValidationError
 
 #: bump when the RunReport JSON layout changes incompatibly; old entries
@@ -218,7 +219,7 @@ class ResultCache:
     def store(self, report) -> None:
         path = self.entry_path(report.scenario)
         payload = {"schema": SCHEMA_VERSION, "report": report.to_dict()}
-        self._write(path, payload)
+        atomic_write(path, json.dumps(payload, sort_keys=True))
         self.stats.stores += 1
 
     def bound_path(self, scenario, method: str = "maxflow") -> pathlib.Path:
@@ -276,13 +277,8 @@ class ResultCache:
             "instance": [scenario.seed, scenario.instance_key()],
             "bound": float(bound),
         }
-        self._write(self.bound_path(scenario, method), payload)
-
-    def _write(self, path: pathlib.Path, payload: dict) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, path)
+        atomic_write(self.bound_path(scenario, method),
+                     json.dumps(payload, sort_keys=True))
 
     def flush_stats(self) -> CacheStats:
         """Fold this instance's counters into :data:`GLOBAL_STATS` and

@@ -47,6 +47,7 @@ import pathlib
 from repro.api.cache import CacheStats
 from repro.api.run import BatchResult, RunReport, run_batch
 from repro.api.spec import Scenario, point_digest
+from repro.util import atomic_write
 from repro.util.errors import ValidationError
 
 #: bump when the manifest / result-file layout changes incompatibly
@@ -138,13 +139,9 @@ def plan_shards(scenarios, n_shards: int) -> list:
 
 
 def write_manifest(manifest: dict, path) -> pathlib.Path:
-    """Write one shard manifest as canonical JSON (atomically)."""
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    os.replace(tmp, path)
-    return path
+    """Write one shard manifest as one line of canonical JSON (atomically;
+    no indent, so ``json`` keeps its C encoder)."""
+    return atomic_write(path, json.dumps(manifest, sort_keys=True) + "\n")
 
 
 def load_manifest(source) -> dict:
@@ -246,12 +243,7 @@ def write_shard_result(manifest: dict, reports, out) -> pathlib.Path:
         "cache_stats": vars(cache_stats) if cache_stats is not None else None,
     }
     lines.append(json.dumps(footer, sort_keys=True))
-    path = pathlib.Path(out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text("\n".join(lines) + "\n")
-    os.replace(tmp, path)
-    return path
+    return atomic_write(out, "\n".join(lines) + "\n")
 
 
 def _iter_shard_result(path):

@@ -13,22 +13,26 @@ long as one worker survives.
 
 Layout (everything under one queue directory)::
 
-    queue.json          immutable batch header (digest, size, chunking)
-    pending/chunk_*.json    chunk manifests awaiting a worker
-    claimed/chunk_*.json    manifests owned by a worker (claim = rename)
-    leases/chunk_*.json     liveness: worker id + heartbeat timestamp
-    results/chunk_*.jsonl   completed chunks (shard-result JSONL)
+    queue.json                     immutable batch header (digest, size,
+                                   chunking)
+    pending/chunk_N.json           chunk manifests awaiting a worker
+    claimed/chunk_N.<worker>.json  the lease: a manifest owned by
+                                   <worker>, its mtime the last heartbeat
+    results/chunk_N.jsonl          completed chunks (shard-result JSONL)
 
-The claim protocol is a single ``os.rename(pending/X, claimed/X)``:
-atomic on POSIX, so exactly one of any number of racing workers owns the
-chunk and the losers see ``FileNotFoundError`` and move on.  The owner
-then writes a lease file and rewrites it on a heartbeat cadence; any
+The claim protocol is a single ``os.rename(pending/X.json,
+claimed/X.<worker>.json)``: atomic on POSIX, so exactly one of any number
+of racing workers owns the chunk and the losers see ``FileNotFoundError``
+and move on.  The claimed file is the whole lease.  Its name carries the
+owner; its mtime, stamped with ``os.utime`` at the claim and again on a
+heartbeat cadence, carries the liveness.  A heartbeat names the owner's
+own file, so it fails once the chunk was requeued or reclaimed.  Any
 process (typically an idle worker) may call :meth:`WorkQueue.
-requeue_expired`, which renames chunks whose lease heartbeat is older
-than the TTL back into ``pending/``.  Completion is one atomic
-``os.replace`` of the result file followed by removing the claim and
-lease markers -- a crash at *any* point leaves either no result (the
-chunk is requeued and rerun) or a complete one (the chunk is done).
+requeue_expired`, which renames claims whose mtime is older than the TTL
+back into ``pending/``.  Completion is one atomic ``os.replace`` of the
+result file followed by removing the claim -- a crash at *any* point
+leaves either no result (the chunk is requeued and rerun) or a complete
+one (the chunk is done).
 
 Why duplicated execution is safe -- the invariant this service inherits
 from PR 5 and ``tests/test_queue.py`` chaos-fuzzes: scenario reports are
@@ -65,18 +69,19 @@ from dataclasses import dataclass, field
 
 from repro.api.cache import CacheStats
 from repro.api.dispatch import (
-    MANIFEST_KIND,
-    SHARD_SCHEMA,
     load_manifest,
     plan_shards,
     write_manifest,
     write_shard_result,
 )
 from repro.api.run import BatchResult
+from repro.util import atomic_write
 from repro.util.errors import ValidationError
 
 QUEUE_KIND = "repro-queue"
-LEASE_KIND = "repro-queue-lease"
+
+#: layout version of a queue directory; 2 made the claimed file the lease
+QUEUE_SCHEMA = 2
 
 #: default lease TTL (seconds without a heartbeat before a chunk is
 #: considered abandoned) and the matching heartbeat cadence divisor
@@ -151,7 +156,6 @@ class WorkQueue:
         self.root = pathlib.Path(root)
         self.pending_dir = self.root / "pending"
         self.claimed_dir = self.root / "claimed"
-        self.leases_dir = self.root / "leases"
         self.results_dir = self.root / "results"
         self._header: dict | None = None
 
@@ -186,7 +190,7 @@ class WorkQueue:
         n_chunks = max(1, math.ceil(len(scenarios) / chunk_size))
         manifests = plan_shards(scenarios, n_chunks)  # validates the batch
         for directory in (queue.pending_dir, queue.claimed_dir,
-                          queue.leases_dir, queue.results_dir):
+                          queue.results_dir):
             directory.mkdir(parents=True, exist_ok=True)
         sizes = {}
         for manifest in manifests:
@@ -195,7 +199,7 @@ class WorkQueue:
             write_manifest(manifest, queue.pending_dir / f"{name}.json")
         header = {
             "kind": QUEUE_KIND,
-            "schema": SHARD_SCHEMA,
+            "schema": QUEUE_SCHEMA,
             "batch_digest": manifests[0]["batch_digest"],
             "batch_size": len(scenarios),
             "n_chunks": n_chunks,
@@ -205,7 +209,8 @@ class WorkQueue:
         }
         # the header is written last: its presence marks a fully enqueued
         # queue, so a crash mid-enqueue leaves a directory workers reject
-        queue._atomic_write_json(queue.header_path, header)
+        atomic_write(queue.header_path,
+                     json.dumps(header, sort_keys=True) + "\n")
         queue._header = header
         return queue
 
@@ -227,11 +232,11 @@ class WorkQueue:
                 raise QueueError(
                     f"{self.header_path} is not a queue header (expected "
                     f"kind={QUEUE_KIND!r})")
-            if header.get("schema") != SHARD_SCHEMA:
+            if header.get("schema") != QUEUE_SCHEMA:
                 raise QueueError(
                     f"{self.root} uses queue schema "
                     f"{header.get('schema')!r}; this version reads schema "
-                    f"{SHARD_SCHEMA}")
+                    f"{QUEUE_SCHEMA}")
             self._header = header
         return self._header
 
@@ -240,113 +245,99 @@ class WorkQueue:
     def claim(self, worker: str, *, clock=time.time):
         """Atomically claim the next pending chunk; ``None`` when empty.
 
-        The claim is one ``os.rename`` into ``claimed/`` -- of any number
-        of racing workers exactly one wins each chunk; losers skip to the
-        next.  The winner's lease is written immediately (heartbeat it
-        with :meth:`heartbeat` while executing).
+        The claim is one ``os.rename`` to ``claimed/<chunk>.<worker>.json``
+        -- of any number of racing workers exactly one wins each chunk;
+        losers skip to the next.  The winner then stamps the file's mtime
+        with ``clock`` (refresh it with :meth:`heartbeat` while executing).
+        Until the stamp lands the file keeps the manifest's older mtime
+        (its enqueue, or its last heartbeat before a release or requeue),
+        so a crash in that window leaves a claim that expires no later
+        than one stamped just before the crash, and a sweep that read that
+        mtime may requeue the chunk under the claimer, which then moves on
+        to the next one.  ``worker`` names the file, so it must be
+        non-empty and free of path separators.
         """
+        if not worker or "/" in worker or os.sep in worker:
+            raise QueueError(
+                f"worker id {worker!r} must be non-empty and contain no "
+                "path separator (it names the claimed chunk file)")
         self.header()  # reject non-queue directories before touching them
         for path in sorted(self.pending_dir.glob("chunk_*.json")):
-            target = self.claimed_dir / path.name
+            target = self._claim_path(path.stem, worker)
             try:
                 os.rename(path, target)
             except FileNotFoundError:
                 continue  # another worker won this chunk
-            chunk = path.stem
-            now = float(clock())
-            self._write_lease(chunk, worker, claimed_at=now, heartbeat_at=now)
             try:
+                self._stamp(target, clock)
                 return load_manifest(target)
             except Exception:
-                # never strand a chunk behind a reader error: put it back
-                # before propagating (a corrupt manifest then fails loudly
-                # on every worker rather than vanishing)
-                os.replace(target, self.pending_dir / path.name)
-                self._remove(self.leases_dir / f"{chunk}.json")
-                raise
+                # never strand a chunk behind a stamp or reader error: put
+                # it back before propagating (a corrupt manifest then fails
+                # loudly on every worker rather than vanishing).  A file
+                # already gone was requeued by a sweep: move on.
+                if self._unclaim(target, path.stem):
+                    raise
         return None
 
     def heartbeat(self, chunk: str, worker: str, *, clock=time.time) -> bool:
-        """Refresh ``worker``'s lease on ``chunk`` (atomic rewrite).
+        """Refresh ``worker``'s lease on ``chunk``: stamp the mtime of its
+        claimed file with ``clock``.
 
-        Returns ``True`` when the lease was refreshed.  When the lease
-        is gone or held by *another* worker -- this worker's claim was
-        falsely expired, requeued, and possibly reclaimed -- the call is
-        a no-op returning ``False``: rewriting would stomp the new
-        claimant's lease, corrupting ``status`` ownership lines and
-        resetting its expiry clock.  A heartbeat thread should stand
-        down for good on ``False`` (see
+        Returns ``True`` when the lease was refreshed.  Once this worker's
+        claim was falsely expired and requeued -- and possibly reclaimed,
+        under another worker's file name -- its own file name is gone, the
+        stamp fails, and the call returns ``False`` having touched nothing.
+        A heartbeat thread should stand down for good on ``False`` (see
         :meth:`repro.api.service.QueueWorker._start_heartbeat`).
         """
-        lease = self._read_lease(chunk)
-        if lease is None or lease.get("worker") != worker:
+        try:
+            self._stamp(self._claim_path(chunk, worker), clock)
+        except FileNotFoundError:
             return False
-        self._write_lease(chunk, worker, claimed_at=lease.get("claimed_at"),
-                          heartbeat_at=float(clock()))
         return True
 
-    def complete(self, manifest: dict, reports) -> pathlib.Path:
-        """Record a finished chunk: atomic result write, then cleanup.
+    def complete(self, manifest: dict, reports, worker: str) -> pathlib.Path:
+        """Record ``worker``'s finished chunk: atomic result write, then
+        removal of its claimed file.
 
-        The result file lands with one ``os.replace`` *before* the claim
-        and lease markers are removed, so every crash window is safe: no
-        result yet means the chunk will be requeued and rerun; a result
-        present means the chunk is done and the stale markers are swept
-        by the next :meth:`requeue_expired`.  Rewriting an existing
-        result (duplicated execution after a false lease expiry) is
-        harmless by bit-identity.
+        The result file lands with one ``os.replace`` *before* the claim is
+        removed, so every crash window is safe: no result yet means the
+        chunk will be requeued and rerun; a result present means the chunk
+        is done and the stale claim is swept by the next
+        :meth:`requeue_expired`.  Rewriting an existing result (duplicated
+        execution after a false lease expiry) is harmless by bit-identity,
+        and a worker that lost its claim removes nothing of the new
+        owner's.
         """
         chunk = _chunk_name(manifest["shard_index"])
-        path = write_shard_result(manifest, reports,
-                                  self.results_dir / f"{chunk}.jsonl")
-        self._remove(self.claimed_dir / f"{chunk}.json")
-        self._remove(self.leases_dir / f"{chunk}.json")
+        path = write_shard_result(manifest, reports, self.result_path(chunk))
+        self._remove(self._claim_path(chunk, worker))
         return path
 
-    def release(self, chunk: str) -> None:
-        """Voluntarily return a claimed chunk to ``pending`` (a worker
-        hitting an execution error calls this so the chunk is retried
-        immediately instead of idling out a full TTL)."""
-        try:
-            os.rename(self.claimed_dir / f"{chunk}.json",
-                      self.pending_dir / f"{chunk}.json")
-        except FileNotFoundError:
-            pass
-        self._remove(self.leases_dir / f"{chunk}.json")
+    def release(self, chunk: str, worker: str) -> None:
+        """Voluntarily return ``worker``'s claimed chunk to ``pending`` (a
+        worker hitting an execution error calls this so the chunk is
+        retried immediately instead of idling out a full TTL)."""
+        self._unclaim(self._claim_path(chunk, worker), chunk)
 
     def requeue_expired(self, ttl: float = DEFAULT_TTL, *,
                         clock=time.time) -> list:
-        """Requeue claimed chunks whose lease heartbeat is stale.
+        """Requeue claimed chunks whose lease (claim mtime) is stale.
 
         Returns the chunk names moved back to ``pending/``.  A claimed
         chunk whose result file already exists is *finalized* instead
-        (its owner died between the result write and the cleanup).  A
-        missing lease file (death inside the claim window, which is
-        microseconds wide) counts as expired immediately -- requeueing a
-        live worker's chunk is safe, merely wasteful (see the module
-        docstring).  A *future-dated* heartbeat (the wall clock stepped
-        backwards between the write and this read) also counts as
-        expired: trusting it would hold a dead worker's lease alive past
-        any TTL, and torn/backwards == stale is the documented safe
-        direction.
+        (its owner died between the result write and the cleanup).
+        Requeueing a live worker's chunk is safe, merely wasteful (see the
+        module docstring), so every doubtful lease counts as expired (see
+        :meth:`_claims`).
         """
         requeued = []
-        now = float(clock())
-        for path in sorted(self.claimed_dir.glob("chunk_*.json")):
-            chunk = path.stem
-            if (self.results_dir / f"{chunk}.jsonl").exists():
+        for chunk, _, path, age in self._claims(ttl, clock):
+            if self.result_path(chunk).exists():
                 self._remove(path)
-                self._remove(self.leases_dir / f"{chunk}.json")
-                continue
-            lease = self._read_lease(chunk)
-            if lease is not None and 0 <= now - lease["heartbeat_at"] <= ttl:
-                continue
-            try:
-                os.rename(path, self.pending_dir / path.name)
-            except FileNotFoundError:
-                continue  # its owner completed or another process requeued
-            self._remove(self.leases_dir / f"{chunk}.json")
-            requeued.append(chunk)
+            elif age is None and self._unclaim(path, chunk):
+                requeued.append(chunk)
         return requeued
 
     # -- progress --------------------------------------------------------
@@ -379,20 +370,14 @@ class WorkQueue:
         status.scenarios_done = sum(sizes.get(chunk, 0) for chunk in done)
         status.chunks_pending = len(list(self.pending_dir.glob(
             "chunk_*.json")))
-        now = float(clock())
-        for path in sorted(self.claimed_dir.glob("chunk_*.json")):
-            chunk = path.stem
+        for chunk, worker, _, age in self._claims(ttl, clock):
             if chunk in done:
                 continue  # finished, cleanup pending
-            lease = self._read_lease(chunk)
-            # a future-dated heartbeat (backwards clock step) is expired,
-            # matching requeue_expired -- never report it as live forever
-            if lease is None or not 0 <= now - lease["heartbeat_at"] <= ttl:
+            if age is None:
                 status.chunks_expired += 1
             else:
                 status.chunks_active += 1
-                status.workers.append((lease.get("worker", "?"), chunk,
-                                       now - lease["heartbeat_at"]))
+                status.workers.append((worker, chunk, age))
         totals: CacheStats | None = None
         for chunk in done:
             stats = self._result_footer_stats(chunk)
@@ -428,33 +413,43 @@ class WorkQueue:
 
     # -- internals -------------------------------------------------------
 
-    def _lease_path(self, chunk: str) -> pathlib.Path:
-        return self.leases_dir / f"{chunk}.json"
+    def _claim_path(self, chunk: str, worker: str) -> pathlib.Path:
+        return self.claimed_dir / f"{chunk}.{worker}.json"
 
-    def _write_lease(self, chunk: str, worker: str, *, claimed_at,
-                     heartbeat_at: float) -> None:
-        payload = {
-            "kind": LEASE_KIND,
-            "chunk": chunk,
-            "worker": worker,
-            "claimed_at": claimed_at if claimed_at is not None
-            else heartbeat_at,
-            "heartbeat_at": heartbeat_at,
-        }
-        self._atomic_write_json(self._lease_path(chunk), payload)
+    def _claims(self, ttl: float, clock):
+        """Yield ``(chunk, worker, path, age)`` for every claimed chunk in
+        chunk order.
 
-    def _read_lease(self, chunk: str) -> dict | None:
-        """A parseable lease dict, or ``None`` (absent *or* torn: lease
-        writes are atomic, so anything unreadable is treated as no lease
-        -- the safe direction, since requeueing is always sound)."""
+        ``age`` is the seconds since the claim's last stamp, or ``None``
+        when the lease is expired: older than ``ttl``, or future-dated (the
+        clock stepped backwards since the stamp; trusting it would hold a
+        dead worker's lease alive past any TTL).  Both readings are integer
+        nanoseconds, so a stamp read back at the same clock reading has age
+        0, never a rounding error's worth of future.
+        """
+        now = round(clock() * 1e9)
+        for path in sorted(self.claimed_dir.glob("chunk_*.json")):
+            chunk, _, worker = path.name[:-len(".json")].partition(".")
+            try:
+                age = now - path.stat().st_mtime_ns
+            except FileNotFoundError:
+                continue  # completed, released or requeued since the listing
+            yield chunk, worker, path, (age / 1e9 if 0 <= age <= ttl * 1e9
+                                        else None)
+
+    @staticmethod
+    def _stamp(path: pathlib.Path, clock) -> None:
+        now = round(clock() * 1e9)
+        os.utime(path, ns=(now, now))
+
+    def _unclaim(self, path: pathlib.Path, chunk: str) -> bool:
+        """Rename a claimed file back to ``pending/``; ``False`` when it is
+        already gone (completed, released or requeued meanwhile)."""
         try:
-            lease = json.loads(self._lease_path(chunk).read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        if not isinstance(lease, dict) \
-                or not isinstance(lease.get("heartbeat_at"), (int, float)):
-            return None
-        return lease
+            os.rename(path, self.pending_dir / f"{chunk}.json")
+        except FileNotFoundError:
+            return False
+        return True
 
     def _result_footer_stats(self, chunk: str) -> CacheStats | None:
         """Parse only the footer (tail line) of one result file."""
@@ -480,13 +475,6 @@ class WorkQueue:
             return CacheStats(**stats)
         except TypeError:
             return None
-
-    @staticmethod
-    def _atomic_write_json(path: pathlib.Path, payload: dict) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-        tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
-        os.replace(tmp, path)
 
     def _remove(self, path: pathlib.Path) -> None:
         try:

@@ -16,7 +16,7 @@ injection is first-class: ``crash_after=k`` makes the worker execute
 progress) and then die, either by raising :class:`WorkerCrash`
 (in-process tests) or ``os._exit`` (the CLI's ``REPRO_QUEUE_CRASH_AFTER``
 knob, used by the CI chaos job), leaving exactly the wreckage a kill -9
-would: a claimed chunk, a stale lease, no result file.
+would: a claimed chunk file whose mtime stops advancing, no result file.
 """
 
 from __future__ import annotations
@@ -136,13 +136,13 @@ class QueueWorker:
                                 cache=self.cache, cache_dir=self.cache_dir,
                                 compute_bound=self.compute_bound,
                                 bound_method=self.bound_method)
-            self.queue.complete(manifest, reports)
+            self.queue.complete(manifest, reports, self.worker_id)
             self.chunks_done += 1
             self.log(f"worker {self.worker_id}: completed {chunk}")
         except WorkerCrash:
-            raise  # leave the claim and stale lease behind, like a kill
+            raise  # leave the claim behind to go stale, like a kill
         except BaseException:
-            self.queue.release(chunk)
+            self.queue.release(chunk, self.worker_id)
             self.log(f"worker {self.worker_id}: released {chunk} after error")
             raise
         finally:
@@ -181,9 +181,9 @@ class QueueWorker:
                 except OSError:
                     continue  # disk hiccup: the lease ages one interval
                 if not owned:
-                    # the lease was requeued (false expiry) and possibly
-                    # reclaimed by another worker -- beating on would stomp
-                    # the new claimant's lease, so stand down for good
+                    # the claim was requeued (false expiry) and possibly
+                    # reclaimed by another worker -- this execution holds
+                    # it no longer, so stand down for good
                     break
 
         thread = threading.Thread(

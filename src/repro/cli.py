@@ -49,6 +49,7 @@ from repro.api import (
     unavailable_reason,
     workload_names,
 )
+from repro.api.queue import DEFAULT_CHUNK_SIZE, DEFAULT_TTL
 from repro.baselines import offline
 
 #: single source of truth for the common flag defaults (build_parser and
@@ -712,9 +713,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fresh queue directory (shared between workers, "
                    "e.g. on a network filesystem)")
     p.add_argument("--spec", required=True, help="JSON scenario spec file")
-    p.add_argument("--chunk-size", type=int, default=8,
-                   help="scenarios per chunk (default 8): the unit of "
-                   "leasing, crash loss, and rebalancing")
+    p.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE,
+                   help="scenarios per chunk (default %(default)s): the unit "
+                   "of leasing, crash loss, and rebalancing")
     p.add_argument("--engine", **engine_kwargs)
     p.set_defaults(fn=cmd_enqueue)
 
@@ -724,9 +725,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("queue", metavar="QUEUE_DIR")
     p.add_argument("--worker-id", default=None,
                    help="lease owner label (default: hostname-pid)")
-    p.add_argument("--ttl", type=float, default=60.0,
+    p.add_argument("--ttl", type=float, default=DEFAULT_TTL,
                    help="lease seconds without a heartbeat before a chunk "
-                   "is considered abandoned and requeued (default 60)")
+                   "is considered abandoned and requeued (default "
+                   "%(default)s)")
     p.add_argument("--poll", type=float, default=1.0,
                    help="idle sleep between claim attempts (default 1s)")
     p.add_argument("--max-chunks", type=int, default=None,
@@ -741,9 +743,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "status", help="live queue progress: chunks, leases, cache stats")
     p.add_argument("queue", metavar="QUEUE_DIR")
-    p.add_argument("--ttl", type=float, default=60.0,
+    p.add_argument("--ttl", type=float, default=DEFAULT_TTL,
                    help="lease TTL used to classify leases as live or "
-                   "expired (match the workers' --ttl)")
+                   "expired (match the workers' --ttl; default "
+                   "%(default)s)")
     p.set_defaults(fn=cmd_status)
 
     p = sub.add_parser(

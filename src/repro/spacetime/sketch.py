@@ -61,11 +61,17 @@ class _SketchBase:
     def tiles(self):
         return self._tiles
 
-    def has_tile(self, tile: tuple) -> bool:
-        return tile in self._tiles
-
     def tile_of_vertex(self, v: tuple) -> tuple:
         return self.tiling.tile_of(v)
+
+    def source_node(self, request):
+        """Sketch node holding the request's source event (the half-tile
+        ``s_in`` on a split sketch graph, Alg. 1 step 1a)."""
+        v = self.graph.source_vertex(request)
+        tile = self.tile_of_vertex(v)
+        if tile not in self._tiles:
+            raise ValidationError(f"source vertex {v} falls outside the tiled region")
+        return self.node_of_tile(tile)
 
     def tile_neighbors(self, tile: tuple):
         """Outgoing tile neighbours ``tile + e_axis`` that exist and are
@@ -140,9 +146,6 @@ class _SketchBase:
     def _sink_edges_from(self, tile: tuple):
         return self._sink_edges.get(tile, ())
 
-    def num_tiles(self) -> int:
-        return len(self._tiles)
-
 
 class PlainSketchGraph(_SketchBase):
     """Sketch graph with full summed capacities (randomized algorithm).
@@ -153,14 +156,6 @@ class PlainSketchGraph(_SketchBase):
     """
 
     def node_of_tile(self, tile: tuple):
-        return ("t", tile)
-
-    def source_node(self, request):
-        """Sketch node holding the request's source event."""
-        v = self.graph.source_vertex(request)
-        tile = self.tile_of_vertex(v)
-        if tile not in self._tiles:
-            raise ValidationError(f"source vertex {v} falls outside the tiled region")
         return ("t", tile)
 
     def out_edges(self, node):
@@ -200,14 +195,6 @@ class SplitSketchGraph(_SketchBase):
 
     def interior_capacity(self) -> int:
         return self.d + 1
-
-    def source_node(self, request):
-        """The half-tile ``s_in`` holding the request's source (Alg. 1 step 1a)."""
-        v = self.graph.source_vertex(request)
-        tile = self.tile_of_vertex(v)
-        if tile not in self._tiles:
-            raise ValidationError(f"source vertex {v} falls outside the tiled region")
-        return ("in", tile)
 
     def out_edges(self, node):
         kind = node[0]

@@ -513,3 +513,23 @@ class TestQueueCommands:
         monkeypatch.setenv("REPRO_QUEUE_CRASH_AFTER", "soon")
         assert main(["work", str(tmp_path)]) == 2
         assert "REPRO_QUEUE_CRASH_AFTER" in capsys.readouterr().err
+
+    def test_queue_defaults_are_the_module_constants(self):
+        from repro.api.queue import DEFAULT_CHUNK_SIZE, DEFAULT_TTL
+
+        parser = build_parser()
+        assert parser.parse_args(["enqueue", "q", "--spec", "s.json"]) \
+            .chunk_size == DEFAULT_CHUNK_SIZE
+        assert parser.parse_args(["work", "q"]).ttl == DEFAULT_TTL
+        assert parser.parse_args(["status", "q"]).ttl == DEFAULT_TTL
+
+    def test_work_rejects_worker_id_with_separator(self, tmp_path, capsys):
+        spec = self._queue_spec(tmp_path)
+        queue_dir = tmp_path / "q"
+        assert main(["enqueue", str(queue_dir), "--spec", str(spec)]) == 0
+        capsys.readouterr()
+        assert main(["work", str(queue_dir), "--worker-id", "a/b",
+                     "--cache", "off"]) == 2
+        err = capsys.readouterr().err
+        assert "worker id 'a/b'" in err and "Traceback" not in err
+        assert list((queue_dir / "claimed").iterdir()) == []

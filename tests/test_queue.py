@@ -32,7 +32,7 @@ from repro.api import (
     WorkloadSpec,
     run_batch,
 )
-from repro.api.queue import WorkQueue
+from repro.api.queue import QUEUE_SCHEMA, WorkQueue
 from repro.api.service import QueueWorker, WorkerCrash
 
 
@@ -117,6 +117,30 @@ class TestEnqueue:
         with pytest.raises(QueueError, match="not a work queue"):
             WorkQueue(tmp_path).status()
 
+    def test_refuses_other_queue_schema(self, tmp_path):
+        """A queue laid out by another version (schema 1 kept its leases
+        in a ``leases/`` directory) is refused, naming both schemas."""
+        WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
+        path = tmp_path / "q" / "queue.json"
+        header = json.loads(path.read_text())
+        assert header["schema"] == QUEUE_SCHEMA == 2
+        path.write_text(json.dumps(dict(header, schema=1)))
+        for call in (lambda q: q.claim("w"), lambda q: q.status()):
+            with pytest.raises(QueueError, match="uses queue schema 1; this "
+                               "version reads schema 2"):
+                call(WorkQueue(tmp_path / "q"))
+
+
+def claimed(queue) -> list:
+    """The claimed directory's listing: one ``<chunk>.<worker>.json`` file
+    per lease."""
+    return sorted(p.name for p in queue.claimed_dir.iterdir())
+
+
+def holders(queue, clock, ttl=60) -> list:
+    return [(worker, chunk) for worker, chunk, _ in
+            queue.status(ttl=ttl, clock=clock).workers]
+
 
 class TestLeaseStateMachine:
     def test_claims_are_exclusive_and_ordered(self, tmp_path):
@@ -127,25 +151,29 @@ class TestLeaseStateMachine:
         third = queue.claim("a", clock=clock)
         assert [m["shard_index"] for m in (first, second, third)] == [0, 1, 2]
         assert queue.claim("b", clock=clock) is None
-        assert sorted(p.stem for p in queue.claimed_dir.iterdir()) == [
-            "chunk_00000", "chunk_00001", "chunk_00002"]
+        assert claimed(queue) == ["chunk_00000.a.json", "chunk_00001.b.json",
+                                  "chunk_00002.a.json"]
+        assert holders(queue, clock) == [
+            ("a", "chunk_00000"), ("b", "chunk_00001"), ("a", "chunk_00002")]
 
     def test_heartbeat_keeps_lease_alive(self, tmp_path):
         queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
         clock = FakeClock()
         queue.claim("a", clock=clock)
         clock.advance(5)
-        queue.heartbeat("chunk_00000", "a", clock=clock)
+        assert queue.heartbeat("chunk_00000", "a", clock=clock) is True
         clock.advance(6)  # 11s since claim, 6s since heartbeat
         assert queue.requeue_expired(ttl=8, clock=clock) == []
+        assert queue.status(ttl=8, clock=clock).workers == [
+            ("a", "chunk_00000", 6.0)]
         clock.advance(5)  # 11s since heartbeat
         assert queue.requeue_expired(ttl=8, clock=clock) == ["chunk_00000"]
         assert (queue.pending_dir / "chunk_00000.json").exists()
-        assert not queue._lease_path("chunk_00000").exists()
+        assert claimed(queue) == []
 
     def test_heartbeat_is_noop_without_lease_ownership(self, tmp_path):
         """After a false expiry and requeue, the old worker's heartbeat
-        must not stomp the new claimant's lease (or resurrect a lease
+        must not touch the new claimant's lease (or resurrect a lease
         for a chunk it no longer holds)."""
         queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
         clock = FakeClock()
@@ -155,21 +183,36 @@ class TestLeaseStateMachine:
         clock.advance(100)
         assert queue.requeue_expired(ttl=8, clock=clock) == ["chunk_00000"]
         assert queue.heartbeat("chunk_00000", "a", clock=clock) is False
-        assert not queue._lease_path("chunk_00000").exists()  # no resurrection
+        assert claimed(queue) == []  # no resurrection
         # b reclaims; a's late heartbeats leave b's lease untouched
         assert queue.claim("b", clock=clock)["shard_index"] == 0
-        before = queue._read_lease("chunk_00000")
         clock.advance(5)
         assert queue.heartbeat("chunk_00000", "a", clock=clock) is False
-        assert queue._read_lease("chunk_00000") == before
-        assert queue._read_lease("chunk_00000")["worker"] == "b"
+        assert claimed(queue) == ["chunk_00000.b.json"]
+        assert queue.status(ttl=8, clock=clock).workers == [
+            ("b", "chunk_00000", 5.0)]
         # the rightful owner still refreshes normally
         assert queue.heartbeat("chunk_00000", "b", clock=clock) is True
-        assert queue._read_lease("chunk_00000")["heartbeat_at"] == clock.now
+        assert queue.status(ttl=8, clock=clock).workers == [
+            ("b", "chunk_00000", 0.0)]
+
+    def test_stale_heartbeat_leaves_new_owner_mtime(self, tmp_path):
+        queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
+        clock = FakeClock()
+        queue.claim("a", clock=clock)
+        clock.advance(100)
+        queue.requeue_expired(ttl=8, clock=clock)
+        queue.claim("b", clock=clock)
+        lease = queue.claimed_dir / "chunk_00000.b.json"
+        before = lease.stat().st_mtime_ns
+        assert before == 100 * 10**9
+        clock.advance(3)
+        assert queue.heartbeat("chunk_00000", "a", clock=clock) is False
+        assert lease.stat().st_mtime_ns == before
 
     def test_heartbeat_thread_stands_down_after_lease_loss(self, tmp_path):
         """The service's heartbeat thread exits for good once its lease
-        is gone, instead of beating over the new claimant forever."""
+        is gone, instead of beating on a name that never returns."""
         queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
         clock = FakeClock()
         queue.claim("a", clock=clock)
@@ -182,12 +225,12 @@ class TestLeaseStateMachine:
             queue.claim("b", clock=clock)
             worker._heartbeat_thread.join(timeout=5.0)
             assert not worker._heartbeat_thread.is_alive()
-            assert queue._read_lease("chunk_00000")["worker"] == "b"
+            assert holders(queue, clock) == [("b", "chunk_00000")]
         finally:
             stop.set()
 
     def test_backwards_clock_step_counts_as_expired(self, tmp_path):
-        """A wall clock stepping backwards leaves the lease heartbeat
+        """A wall clock stepping backwards leaves the claim's mtime
         future-dated; trusting it would hold a dead worker's lease alive
         past any TTL, so it must classify as stale (requeue is always
         safe, a live owner merely reruns)."""
@@ -201,15 +244,79 @@ class TestLeaseStateMachine:
             == ["chunk_00000"]
         assert (queue.pending_dir / "chunk_00000.json").exists()
 
-    def test_missing_lease_counts_as_expired(self, tmp_path):
+    def test_unrefreshed_claim_counts_as_expired(self, tmp_path):
         queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
         clock = FakeClock()
         queue.claim("a", clock=clock)
-        queue._lease_path("chunk_00000").unlink()
+        clock.advance(60)
+        assert queue.requeue_expired(ttl=60, clock=clock) == []
+        clock.advance(1e-3)
+        status = queue.status(ttl=60, clock=clock)
+        assert (status.chunks_active, status.chunks_expired) == (0, 1)
         assert queue.requeue_expired(ttl=60, clock=clock) == ["chunk_00000"]
 
+    def test_crash_between_rename_and_stamp_reads_as_expired(self, tmp_path):
+        """A claim whose mtime stamp never landed keeps the manifest's
+        enqueue mtime, so it reads as expired no later than one TTL after
+        the enqueue -- or at once, when that mtime is future-dated."""
+        queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
+        pending = queue.pending_dir / "chunk_00000.json"
+        enqueued = pending.stat().st_mtime_ns / 1e9
+        pending.rename(queue.claimed_dir / "chunk_00000.a.json")
+        for now in (enqueued - 1, enqueued + 61):
+            status = queue.status(ttl=60, clock=FakeClock(now))
+            assert (status.chunks_active, status.chunks_expired) == (0, 1)
+        assert queue.requeue_expired(ttl=60, clock=FakeClock(enqueued + 61)) \
+            == ["chunk_00000"]
+        assert queue.claim("b", clock=FakeClock())["shard_index"] == 0
+
+    @pytest.mark.parametrize("swept_before_stamp", [True, False])
+    def test_claim_moves_on_when_a_sweep_takes_it(
+            self, tmp_path, monkeypatch, swept_before_stamp):
+        """A sweep that read the claim's old mtime may requeue it before
+        the stamp lands, or just after (it listed the file before); the
+        claimer moves on to the next chunk either way."""
+        queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
+        stamp = WorkQueue._stamp
+
+        def racing_sweep(path, clock):
+            if not swept_before_stamp:
+                stamp(path, clock)
+            if path.name == "chunk_00000.a.json":
+                path.rename(queue.pending_dir / "chunk_00000.json")
+            if swept_before_stamp:
+                stamp(path, clock)
+
+        monkeypatch.setattr(WorkQueue, "_stamp", staticmethod(racing_sweep))
+        assert queue.claim("a", clock=FakeClock())["shard_index"] == 1
+        assert claimed(queue) == ["chunk_00001.a.json"]
+        assert sorted(p.name for p in queue.pending_dir.iterdir()) == [
+            "chunk_00000.json", "chunk_00002.json"]
+
+    def test_claim_puts_the_chunk_back_when_the_stamp_fails(
+            self, tmp_path, monkeypatch):
+        """Setting an mtime to a given time needs the file's owner; a
+        worker refused it fails loudly and strands nothing."""
+        queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
+
+        def refused(path, clock):
+            raise PermissionError(1, "Operation not permitted", str(path))
+
+        monkeypatch.setattr(WorkQueue, "_stamp", staticmethod(refused))
+        with pytest.raises(PermissionError):
+            queue.claim("a", clock=FakeClock())
+        assert claimed(queue) == []
+        assert len(list(queue.pending_dir.iterdir())) == 3
+
+    def test_worker_id_must_name_a_file(self, tmp_path):
+        queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
+        for worker in ("", "a/b", "/"):
+            with pytest.raises(QueueError, match="worker id"):
+                queue.claim(worker, clock=FakeClock())
+        assert len(list(queue.pending_dir.iterdir())) == 3
+
     def test_completed_but_uncleaned_chunk_is_finalized(self, tmp_path):
-        """A worker that died between the result write and the marker
+        """A worker that died between the result write and the claim
         cleanup left a done chunk behind a claim: the sweep finalizes it
         instead of requeueing (the result file is authoritative)."""
         queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
@@ -223,16 +330,19 @@ class TestLeaseStateMachine:
                            queue.result_path("chunk_00000"))
         clock.advance(1000)
         assert queue.requeue_expired(ttl=1, clock=clock) == []
-        assert not (queue.claimed_dir / "chunk_00000.json").exists()
-        assert not queue._lease_path("chunk_00000").exists()
+        assert claimed(queue) == []
+        assert not (queue.pending_dir / "chunk_00000.json").exists()
         assert "chunk_00000" in queue.done_chunks()
 
     def test_release_returns_chunk_immediately(self, tmp_path):
         queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
         clock = FakeClock()
         queue.claim("a", clock=clock)
-        queue.release("chunk_00000")
+        queue.release("chunk_00000", "b")  # not b's to release
+        assert claimed(queue) == ["chunk_00000.a.json"]
+        queue.release("chunk_00000", "a")
         assert (queue.pending_dir / "chunk_00000.json").exists()
+        assert claimed(queue) == []
         assert queue.claim("b", clock=clock)["shard_index"] == 0
 
     def test_worker_releases_chunk_on_execution_error(self, tmp_path):
@@ -259,6 +369,15 @@ class TestWorkerLoop:
         merged = queue.collect()
         assert list(merged) == list(serial)
         assert [r.meta for r in merged] == [r.meta for r in serial]
+
+    def test_drain_leaves_only_the_queue_layout(self, tmp_path):
+        queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
+        make_worker(queue, "solo", FakeClock()).run()
+        assert sorted(p.name for p in queue.root.iterdir()) == [
+            "claimed", "pending", "queue.json", "results"]
+        assert list(queue.pending_dir.iterdir()) == claimed(queue) == []
+        assert sorted(p.name for p in queue.results_dir.iterdir()) == [
+            "chunk_00000.jsonl", "chunk_00001.jsonl", "chunk_00002.jsonl"]
 
     def test_step_waits_while_others_hold_live_leases(self, tmp_path):
         queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=6)
@@ -302,7 +421,7 @@ class TestCrashRequeue:
         with pytest.raises(WorkerCrash):
             crasher.step()
         assert list(queue.results_dir.iterdir()) == []
-        assert (queue.claimed_dir / "chunk_00000.json").exists()
+        assert claimed(queue) == ["chunk_00000.crasher.json"]
 
         # within the TTL nothing moves; past it the rescuer requeues
         rescuer = make_worker(queue, "rescuer", clock, cache_dir=cache_dir,
@@ -337,7 +456,7 @@ class TestCrashRequeue:
         # the slow worker wakes up and finishes the same chunk anyway
         reports = run_batch([Scenario.from_dict(i["scenario"])
                              for i in slow["scenarios"]], cache="off")
-        queue.complete(slow, reports)
+        queue.complete(slow, reports, "slow")
 
         assert queue.is_drained()
         assert list(queue.claimed_dir.iterdir()) == []
@@ -359,7 +478,7 @@ class TestCrashRequeue:
             run_batch([Scenario.from_dict(i["scenario"])
                        for i in manifest["scenarios"]], cache="off"),
             queue.result_path("chunk_00000"))
-        # claim + lease still on disk: exactly the wreckage of that crash
+        # the claim still on disk: exactly the wreckage of that crash
         clock.advance(1000)
         survivor = make_worker(queue, "survivor", clock, ttl=30)
         assert survivor.run() == 2  # the other two chunks only
