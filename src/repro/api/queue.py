@@ -88,7 +88,8 @@ QUEUE_SCHEMA = 2
 DEFAULT_TTL = 60.0
 
 #: default scenarios per chunk -- small enough that a crash loses little
-#: and stragglers rebalance, large enough to amortize per-chunk overhead
+#: and stragglers rebalance.  The engine overhead no longer rides on it: a
+#: worker runs every chunk it holds as one batch (``service.HOLD_SCENARIOS``)
 DEFAULT_CHUNK_SIZE = 8
 
 

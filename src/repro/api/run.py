@@ -34,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -58,11 +59,12 @@ class ScenarioError(ValidationError):
 _bound_cache: dict = {}
 
 #: (cache root or None, writes enabled, call-scoped memo or None, bound
-#: method) -- the on-disk tier below the memo.  Module state rather than
-#: an ``_execute`` parameter so the worker entry point and every
-#: monkeypatched ``_execute`` keep their signatures; set via
-#: :func:`_bound_io` in the parent and from the chunk args in workers.
-_BOUND_IO: tuple = (None, False, None, "maxflow")
+#: method, memo keys whose bound was computed or None) -- the on-disk tier
+#: below the memo.  Module state rather than an ``_execute`` parameter so
+#: the worker entry point and every monkeypatched ``_execute`` keep their
+#: signatures; set via :func:`_bound_io` in the parent and from the chunk
+#: args in workers.
+_BOUND_IO: tuple = (None, False, None, "maxflow", None)
 
 
 def _check_bound_method(method: str) -> str:
@@ -91,8 +93,8 @@ def _bound_io(store, mode: str, method: str = "maxflow"):
     """
     global _BOUND_IO
     previous = _BOUND_IO
-    _BOUND_IO = (store, mode == "readwrite", {}, method) if store is not None \
-        else (None, False, None, method)
+    _BOUND_IO = (store, mode == "readwrite", {}, method, []) \
+        if store is not None else (None, False, None, method, None)
     try:
         yield
     finally:
@@ -100,7 +102,7 @@ def _bound_io(store, mode: str, method: str = "maxflow"):
 
 
 def _instance_bound(scenario: Scenario, network, requests) -> float:
-    store, write, memo, method = _BOUND_IO
+    store, write, memo, method, computed = _BOUND_IO
     key = (method, scenario.seed, scenario.instance_key())
     if store is None:
         value = _bound_cache.get(key)
@@ -116,8 +118,10 @@ def _instance_bound(scenario: Scenario, network, requests) -> float:
     if value is None:
         value = float(offline.offline_bound(network, requests, scenario.horizon,
                                             method=method))
-        if store is not None and write:
-            store.store_bound(scenario, value, method)
+        if store is not None:
+            computed.append(key)
+            if write:
+                store.store_bound(scenario, value, method)
     if memo is not None:
         memo[key] = value
     if len(_bound_cache) > 4096:
@@ -429,9 +433,10 @@ def run(scenario: Scenario, *, cache: str | None = None,
 def _run_chunk(args) -> tuple:
     """Run one worker's chunk serially; module-level so it pickles.
 
-    Returns ``(reports, bound_stats)``.  Workers never consult the
-    *report* cache: the parent resolved every hit before sharding and
-    performs the stores itself (single writer).  They do share the
+    Returns ``(reports, bound_stats, computed)``, ``computed`` listing the
+    bound keys this chunk solved (see :func:`_instance_bound`).  Workers
+    never consult the *report* cache: the parent resolved every hit
+    before sharding and performs the stores itself (single writer).  They do share the
     *bound* tier -- offline bounds are instance-keyed,
     algorithm-independent values whose recomputation across processes is
     exactly what the on-disk entries exist to avoid (atomic writes make
@@ -444,7 +449,9 @@ def _run_chunk(args) -> tuple:
     with _bound_io(store, "readwrite" if bound_write else "read",
                    bound_method):
         reports = [_execute(s, compute_bound) for s in scenarios]
-    return reports, (store.stats if store is not None else CacheStats())
+        computed = _BOUND_IO[4] or []
+    return reports, (store.stats if store is not None else CacheStats()), \
+        computed
 
 
 def _batch_reason(scenario: Scenario) -> str | None:
@@ -509,9 +516,35 @@ def _execute_stacked(scenarios, compute_bound: bool) -> list:
 
 class BatchResult(list):
     """``run_batch`` output: a plain list of reports, in input order, plus
-    the batch's cache accounting (``None`` when the cache was off)."""
+    the batch's cache accounting (``None`` when the cache was off).
+
+    With the cache on, ``run_batch`` also keeps each position's share of
+    that accounting, so :meth:`split` can cut the batch into slices whose
+    ``cache_stats`` count their own positions only.
+    """
 
     cache_stats: CacheStats | None = None
+    #: per position ``[hits, misses, stores, invalid, bound_hits,
+    #: bound_misses]`` (the :class:`CacheStats` fields in order), or None
+    _events: list | None = None
+
+    def split(self, sizes) -> list:
+        """Cut into consecutive slices of ``sizes`` reports, each a
+        :class:`BatchResult` whose ``cache_stats`` (``None`` when the cache
+        was off) sum the events of its own positions."""
+        sizes = list(sizes)
+        if sum(sizes) != len(self):
+            raise ValueError(
+                f"slice sizes {sizes} do not cover {len(self)} reports")
+        parts, start = [], 0
+        for size in sizes:
+            part = BatchResult(self[start:start + size])
+            if self._events is not None:
+                part._events = self._events[start:start + size]
+                part.cache_stats = CacheStats(*map(sum, zip(*part._events)))
+            parts.append(part)
+            start += size
+        return parts
 
 
 def run_batch(scenarios, workers: int | None = None, *,
@@ -555,6 +588,11 @@ def run_batch(scenarios, workers: int | None = None, *,
     tier (``bound_*.json`` entries keyed by ``(seed, instance)``) is
     shared across algorithms, workers, and sessions, so each instance's
     max-flow bound is computed once ever, not once per algorithm.
+
+    The cache accounting is also kept per position (a lookup, a store,
+    and a bound event for each executed scenario), so the queue worker
+    can run several chunks as one batch and still give each chunk's
+    result file its own stats (:meth:`BatchResult.split`).
     """
     scenarios = [
         s if isinstance(s, Scenario) else Scenario.from_dict(s)
@@ -564,15 +602,21 @@ def run_batch(scenarios, workers: int | None = None, *,
     mode, store = _open_cache(cache, cache_dir)
     results: list = [None] * len(scenarios)
     pending = list(range(len(scenarios)))
+    events = None  # per position, see BatchResult._events
     if store is not None:
         pending = []
+        events = [[0] * 6 for _ in scenarios]
         for i, scenario in enumerate(scenarios):
+            invalid = store.stats.invalid
             report = store.load(scenario, require_bound=compute_bound,
                                 bound_method=bound_method)
             if report is not None:
                 results[i] = report
+                events[i][0] = 1
             else:
                 pending.append(i)
+                events[i][1] = 1
+                events[i][3] = store.stats.invalid - invalid
 
     # duplicate positions collapse onto their first occurrence (Scenario
     # is frozen and hashable); only primaries execute and store
@@ -616,6 +660,7 @@ def run_batch(scenarios, workers: int | None = None, *,
     bound_root = str(store.root) if store is not None else None
     bound_write = mode == "readwrite"
     with _bound_io(store, mode, bound_method):
+        computed = _BOUND_IO[4]
         if stacked:
             for i, report in zip(
                     stacked,
@@ -656,12 +701,13 @@ def run_batch(scenarios, workers: int | None = None, *,
                     [([scenarios[i] for i in chunk], compute_bound,
                       bound_root, bound_write, bound_method)
                      for chunk in chunks])
-                for chunk, (reports, bound_stats) in zip(chunks,
-                                                         chunk_results):
+                for chunk, (reports, bound_stats, solved) in zip(
+                        chunks, chunk_results):
                     for i, report in zip(chunk, reports):
                         results[i] = report
                     if store is not None:
                         store.stats.add(bound_stats)
+                        computed += solved
 
     for first, copies in duplicates.items():
         for i in copies:
@@ -672,7 +718,22 @@ def run_batch(scenarios, workers: int | None = None, *,
         if mode == "readwrite":
             for i in pending:
                 store.store(results[i])
+                events[i][2] = 1
+        if compute_bound:
+            # every executed position had one bound event.  An instance's
+            # solved bounds are charged to its first executed positions in
+            # batch order, the rest are hits: so a slice counts what it
+            # would have counted run alone after the slices before it
+            # (with readwrite), whichever path happened to run first
+            owed = Counter(computed)
+            for i in pending:
+                scenario = scenarios[i]
+                key = (bound_method, scenario.seed, scenario.instance_key())
+                missed = owed[key] > 0
+                owed[key] -= missed
+                events[i][4 + missed] = 1
         batch.cache_stats = store.flush_stats()
+        batch._events = events
     return batch
 
 

@@ -735,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit after executing this many chunks (default: "
                    "run until the queue drains)")
     p.add_argument("--workers", type=int, default=None,
-                   help="process-pool width inside each chunk")
+                   help="process-pool width inside each held batch")
     p.add_argument("--cache", **cache_kwargs)
     p.add_argument("--bound", **bound_kwargs)
     p.set_defaults(fn=cmd_work)

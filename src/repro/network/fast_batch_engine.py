@@ -76,6 +76,13 @@ from repro.network.stats import NetworkStats
 from repro.network.trace import TraceRecorder
 from repro.util.errors import CapacityError, ValidationError
 
+#: largest stack :func:`_run_stack` builds, in array cells: total nodes x
+#: ``d`` (the per-node geometry and the load table) and total requests x
+#: ``d`` (the per-packet arrays) are each refused above it.  A stack
+#: peaks at about 60 bytes a node cell (measured on 1000x1000 and
+#: 2000x2000 grids), so about 1 GB at the cap
+MAX_CELLS = 16_000_000
+
 
 class _StackedNetworkView:
     """The ``view.network`` of a stacked step.
@@ -376,7 +383,10 @@ def _run_stack(jobs, engine: str) -> list:
     stack builds every job's objects.
 
     Policies must already be eligible for the stack (the engine
-    constructors check).  Each job keeps the semantics of its own loop
+    constructors check).  A stack above :data:`MAX_CELLS` is refused with
+    a :class:`~repro.util.errors.ValidationError` once its jobs are
+    checked, before any per-node or per-packet array of the stack is
+    allocated.  Each job keeps the semantics of its own loop
     over ``0..horizon``: it stops early once its packets drained and no
     arrivals are left, and packets still in flight when its horizon ends
     are preempted.
@@ -408,6 +418,13 @@ def _run_stack(jobs, engine: str) -> list:
             pad = ((0, 0), (0, d - network.d))
             src, dst = np.pad(src, pad), np.pad(dst, pad)
         parts.append((src, dst, arrival, deadline, rid))
+    nodes, rows = int(n_nodes.sum()), int(cnt.sum())
+    if max(nodes, rows) * d > MAX_CELLS:
+        raise ValidationError(
+            f"stack too large: {m} job(s) with {rows} request(s) on {nodes} "
+            f"node(s) of dimension {d} need {max(nodes, rows) * d} array "
+            f"cells > MAX_CELLS = {MAX_CELLS}; shrink the grids or the "
+            "request sets, or run fewer scenarios at once")
     # the loop writes only to its own arrays (loc is a copy), so the
     # columns may be a table's read-only ones
     if m == 1:

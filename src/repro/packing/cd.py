@@ -70,7 +70,12 @@ def edf_max_scheduled(jobs, cap: int) -> int:
 
 
 def _feasible(network, requests, horizon: int):
-    """Dilation-feasible requests as ``(request, dist, latest)`` triples."""
+    """Dilation-feasible requests as ``(request, dist, latest)`` triples.
+
+    The kept requests go through :meth:`~repro.network.topology.Network.
+    check_requests`, so an invalid one raises its error instead of
+    counting as deliverable.  Requests arriving after the horizon or
+    unable to meet their deadline are dropped first, so they count 0."""
     out = []
     for r in requests:
         if r.arrival > horizon:
@@ -80,6 +85,7 @@ def _feasible(network, requests, horizon: int):
         if r.arrival + dist > latest:
             continue
         out.append((r, dist, latest))
+    network.check_requests([r for r, _, _ in out])
     return out
 
 

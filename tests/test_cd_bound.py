@@ -63,6 +63,20 @@ class TestCutBound:
                 Request((0,), (7,), arrival=0, deadline=3, rid=1)]
         assert cd_cut_bound(net, reqs, 20) == 0
 
+    @pytest.mark.parametrize("bad", [Request.line(0, 9, 0),
+                                     Request((0, 0), (1, 1), 0)],
+                             ids=["off-grid", "2-d on a line"])
+    def test_invalid_request_raises_check_request_error(self, bad):
+        """A lone invalid request (destination off the grid, or the wrong
+        dimension) is refused with ``check_request``'s text instead of
+        counting as one deliverable request."""
+        net = LineNetwork(8, 3, 3)
+        with pytest.raises(ValidationError) as expected:
+            net.check_request(bad)
+        with pytest.raises(ValidationError) as caught:
+            cd_cut_bound(net, [bad], 20)
+        assert str(caught.value) == str(expected.value)
+
     def test_single_request_counts_once(self):
         net = line()
         reqs = [Request((0,), (5,), arrival=0, rid=0)]

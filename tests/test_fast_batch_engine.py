@@ -18,9 +18,12 @@ Two tests pin the loop's cheaper tick at the sizes that use it: a
 congested 24x24 instance whose ticks rank more than
 ``kernel.PACKED_SORT_ROWS`` rows, and the per-run count table of
 ``_enforce_loads``, compared with the ``np.unique`` count it replaced.
+The size guard refuses an oversized stack before it allocates.
 """
 
+import os
 import re
+import subprocess
 import sys
 import time
 
@@ -37,6 +40,7 @@ from repro.baselines.greedy import GreedyPolicy
 from repro.baselines.nearest_to_go import NearestToGoPolicy
 from repro.core.deterministic import DeterministicRouter
 from repro.network.engine import StepView, VectorDecision
+from repro.network import fast_batch_engine
 from repro.network.fast_batch_engine import FastBatchEngine, _enforce_loads
 from repro.network.fast_engine import FastEngine
 from repro.network.packet import Request, RequestTable
@@ -182,6 +186,59 @@ class TestPackedSortAtScale:
             assert one.status == ref.status == many.status, context
             assert one.stats.delivery_times == ref.stats.delivery_times \
                 == many.stats.delivery_times, context
+
+
+class TestSizeGuard:
+    def test_oversized_grid_refused_before_allocating(self):
+        """Under a 1 GB address-space cap a 40000x40000 grid (3.2e9 node
+        cells) raises ValidationError instead of a MemoryError or an OOM
+        kill (in a subprocess, so a regression fails this test, not the
+        whole run)."""
+        proc = subprocess.run(
+            [sys.executable, "-c", _GUARD_SCRIPT], capture_output=True,
+            text=True, timeout=300,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                     PYTHONPATH=os.pathsep.join(sys.path)))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.strip() == (
+            "refused: stack too large: 1 job(s) with 1 request(s) on "
+            "1600000000 node(s) of dimension 2 need 3200000000 array cells "
+            f"> MAX_CELLS = {fast_batch_engine.MAX_CELLS}; shrink the grids "
+            "or the request sets, or run fewer scenarios at once")
+
+    def test_guard_counts_the_whole_stack(self, monkeypatch):
+        """Two 8x8 jobs (128 node cells each) fit under a cap of 200 cells
+        alone but not together; requests count by the same cap."""
+        monkeypatch.setattr(fast_batch_engine, "MAX_CELLS", 200)
+        net = GridNetwork((8, 8), 2, 2)
+        job = (net, GreedyPolicy("fifo"), [Request((0, 0), (1, 1), 0)], 10)
+        FastBatchEngine([job]).run_many()
+        with pytest.raises(ValidationError,
+                           match=r"2 job\(s\) with 2 request\(s\) on 128 "
+                                 r"node\(s\) of dimension 2 need 256"):
+            FastBatchEngine([job, job]).run_many()
+        line = LineNetwork(4, 2, 2)
+        many = [Request.line(0, 1, t, rid=t) for t in range(201)]
+        with pytest.raises(ValidationError, match=r"201 request\(s\) on 4 "):
+            FastBatchEngine([(line, GreedyPolicy("fifo"), many, 300)]
+                            ).run_many()
+
+
+#: the oversized stack of test_oversized_grid_refused_before_allocating,
+#: under RLIMIT_AS
+_GUARD_SCRIPT = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from repro.baselines import run_greedy
+from repro.network.packet import Request
+from repro.network.topology import GridNetwork
+from repro.util.errors import ValidationError
+try:
+    run_greedy(GridNetwork((40000, 40000), 1, 1),
+               [Request((0, 0), (1, 1), 0)], 10, engine="fast")
+except ValidationError as exc:
+    print("refused:", exc)
+"""
 
 
 def _enforce_loads_unique(groups, per_node, limit, node_job, maxima,

@@ -18,7 +18,12 @@ Everything timing-shaped runs against a fake clock and inline sleeps
 from __future__ import annotations
 
 import json
+import os
+import sys
 import tempfile
+import threading
+import time
+from unittest import mock
 
 import pytest
 
@@ -32,7 +37,9 @@ from repro.api import (
     WorkloadSpec,
     run_batch,
 )
+from repro.api import service
 from repro.api.queue import QUEUE_SCHEMA, WorkQueue
+from repro.api.run import RunReport
 from repro.api.service import QueueWorker, WorkerCrash
 
 
@@ -421,7 +428,10 @@ class TestCrashRequeue:
         with pytest.raises(WorkerCrash):
             crasher.step()
         assert list(queue.results_dir.iterdir()) == []
-        assert claimed(queue) == ["chunk_00000.crasher.json"]
+        # the crasher held all three chunks: every claim is left stale
+        assert claimed(queue) == ["chunk_00000.crasher.json",
+                                  "chunk_00001.crasher.json",
+                                  "chunk_00002.crasher.json"]
 
         # within the TTL nothing moves; past it the rescuer requeues
         rescuer = make_worker(queue, "rescuer", clock, cache_dir=cache_dir,
@@ -544,6 +554,257 @@ def test_chaos_histories_collect_serial(seeds, chunk_size, schedule,
     assert merged.cache_stats.lookups >= len(batch)
 
 
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much,
+                                 HealthCheck.data_too_large])
+@given(
+    seeds=st.lists(st.integers(0, 6), min_size=1, max_size=6, unique=True),
+    chunk_size=st.integers(1, 4),
+    hold=st.integers(1, 12),
+    schedule=st.lists(st.integers(0, 2), min_size=1, max_size=40),
+    crash_at=st.integers(0, 5),
+    crash_progress=st.integers(0, 3),
+)
+def test_chaos_histories_with_holds_collect_serial(
+        seeds, chunk_size, hold, schedule, crash_at, crash_progress):
+    """The chaos history above with the hold drawn too (1-12 scenarios):
+    holds of one chunk keep single-chunk interleavings fuzzed, larger
+    ones let a crash strand several claims and a requeue split a hold
+    across workers -- and the collected batch still equals the serial
+    ``run_batch`` report-for-report, including ``meta``."""
+    batch = [scenario(seed=s, algorithm=a)
+             for s in seeds for a in ("ntg", "greedy")]
+    serial = run_batch(batch, cache="off")
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(service, "HOLD_SCENARIOS", hold):
+        import pathlib
+
+        root = pathlib.Path(tmp)
+        queue = WorkQueue.create(root / "q", batch, chunk_size=chunk_size)
+        clock = FakeClock()
+        cache_dir = root / "cache"
+        workers = [make_worker(queue, f"w{i}", clock, cache_dir=cache_dir,
+                               ttl=10)
+                   for i in range(3)]
+        for steps, turn in enumerate(schedule):
+            worker = workers[turn]
+            if steps == crash_at:
+                worker.crash_after = crash_progress
+            try:
+                outcome = worker.step()
+            except WorkerCrash:
+                outcome = "crashed"
+            if outcome in ("wait", "crashed"):
+                clock.advance(11)  # beyond the TTL: stale leases expire
+            if queue.is_drained():
+                break
+        finisher = make_worker(queue, "finisher", clock, cache_dir=cache_dir,
+                               ttl=10,
+                               sleep=lambda seconds: clock.advance(11))
+        finisher.run()
+        assert queue.is_drained()
+        merged = queue.collect()
+    assert list(merged) == list(serial)
+    assert [r.meta for r in merged] == [r.meta for r in serial]
+    assert merged.cache_stats.lookups >= len(batch)
+
+
+def result_files(queue) -> dict:
+    """Each chunk's result file as ``(header, [(index, digest, report)],
+    footer)``, wall-clock fields compared away by ``RunReport`` equality."""
+    files = {}
+    for path in sorted(queue.results_dir.iterdir()):
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        body = [(line["index"], line["digest"],
+                 RunReport.from_dict(line["report"])) for line in lines[1:-1]]
+        files[path.name] = (lines[0], body, lines[-1])
+    return files
+
+
+class TestHold:
+    """A worker claims chunks until it holds ``HOLD_SCENARIOS`` scenarios
+    and runs them as one ``run_batch``; the chunk stays the unit of
+    claims, heartbeats, release and results."""
+
+    @staticmethod
+    def drained_files(root, batch, hold, cache, monkeypatch) -> dict:
+        """Drain ``batch`` (chunks of 2) with one worker holding ``hold``
+        scenarios; returns its result files (see :func:`result_files`)
+        and the number of steps that ran chunks.
+
+        With the cache on, the directory is first warmed with the first
+        scenario, and one more entry is corrupted, so the footers see
+        report hits, misses, stores and an invalid entry, and bound hits
+        from disk, from the memo and bound misses."""
+        monkeypatch.setattr(service, "HOLD_SCENARIOS", hold)
+        cache_dir = None
+        if cache:
+            cache_dir = root / "cache"
+            run_batch(batch[:1], cache="readwrite", cache_dir=cache_dir)
+            from repro.api.cache import ResultCache
+
+            path = ResultCache(cache_dir).entry_path(batch[4])
+            path.write_text("{not json")
+        queue = WorkQueue.create(root / "q", batch, chunk_size=2)
+        worker = make_worker(queue, "w", FakeClock(), cache_dir=cache_dir)
+        steps = 0
+        while worker.step() == "ran":
+            steps += 1
+        assert queue.is_drained()
+        return result_files(queue), steps
+
+    @pytest.mark.parametrize("cache", [False, True], ids=["off", "readwrite"])
+    def test_each_chunk_matches_a_one_chunk_drain(self, tmp_path, monkeypatch,
+                                                  cache):
+        """The per-chunk pin: draining with the hold writes every chunk's
+        result file -- header, reports and each footer field, cache stats
+        included -- exactly as one-chunk-at-a-time steps do.  The batch
+        mixes stacked scenarios (``ntg``, ``greedy``) with one that runs
+        per scenario (``edd`` through the adapter) on shared instances
+        spread over several chunks, with the bound on."""
+        edd = {"name": "edd", "params": {"adapter": True}}
+        batch = [scenario(seed=s, algorithm=a,
+                          engine="fast" if a is edd else "batch")
+                 for s in range(4) for a in ("ntg", "greedy", edd)]
+        held, held_steps = self.drained_files(tmp_path / "held", batch, 64,
+                                              cache, monkeypatch)
+        single, single_steps = self.drained_files(tmp_path / "single", batch,
+                                                  1, cache, monkeypatch)
+        assert (held_steps, single_steps) == (1, 6)
+        assert held.keys() == single.keys() and len(held) == 6
+        for name in held:
+            assert held[name] == single[name], name
+        footers = [footer["cache_stats"] for _, _, footer in held.values()]
+        if not cache:
+            assert footers == [None] * 6
+            return
+        totals = {key: sum(f[key] for f in footers) for key in footers[0]}
+        assert totals == {"hits": 1, "misses": 11, "stores": 11,
+                          "invalid": 1, "bound_hits": 8, "bound_misses": 3}
+        assert len({json.dumps(f, sort_keys=True) for f in footers}) > 1
+
+    def test_error_releases_every_held_chunk(self, tmp_path, monkeypatch):
+        queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
+        worker = make_worker(queue, "a", FakeClock())
+
+        def failing(*args, **kwargs):
+            assert claimed(queue) == ["chunk_00000.a.json",
+                                      "chunk_00001.a.json",
+                                      "chunk_00002.a.json"]
+            raise RuntimeError("engine exploded")
+
+        # repro.api re-exports run(), so the module comes from sys.modules
+        monkeypatch.setattr(sys.modules["repro.api.run"], "run_batch",
+                            failing)
+        with pytest.raises(RuntimeError, match="engine exploded"):
+            worker.step()
+        assert sorted(p.name for p in queue.pending_dir.iterdir()) == [
+            "chunk_00000.json", "chunk_00001.json", "chunk_00002.json"]
+        assert claimed(queue) == []
+
+    def test_error_after_a_completion_releases_the_rest(self, tmp_path,
+                                                        monkeypatch):
+        """A chunk whose result was written stays done; the held chunks
+        without a result go back to ``pending/``."""
+        queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
+        worker = make_worker(queue, "a", FakeClock())
+        complete = queue.complete
+
+        def full_disk_after_one(manifest, reports, owner):
+            if queue.done_chunks():
+                raise OSError(28, "No space left on device")
+            return complete(manifest, reports, owner)
+
+        monkeypatch.setattr(queue, "complete", full_disk_after_one)
+        with pytest.raises(OSError, match="No space left"):
+            worker.step()
+        assert queue.done_chunks() == ["chunk_00000"]
+        assert sorted(p.name for p in queue.pending_dir.iterdir()) == [
+            "chunk_00001.json", "chunk_00002.json"]
+        assert claimed(queue) == []
+        assert worker.chunks_done == 1
+
+    def test_one_heartbeat_thread_stamps_every_held_claim(self, tmp_path):
+        """One thread refreshes all held claims; after one claim is stolen
+        it keeps stamping the others and leaves the thief's alone."""
+        queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
+        clock = FakeClock()
+        names = [queue.claim("a", clock=clock) for _ in range(3)]
+        names = [f"chunk_{m['shard_index']:05d}" for m in names]
+        worker = make_worker(queue, "a", clock, heartbeat_interval=0.01)
+
+        def mtimes():
+            return {p.name: p.stat().st_mtime_ns
+                    for p in queue.claimed_dir.iterdir()}
+
+        def wait_for(expected):
+            deadline = time.monotonic() + 10
+            while mtimes() != expected and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert mtimes() == expected
+
+        before = set(threading.enumerate())
+        stop = worker._start_heartbeat(*names)
+        try:
+            started = set(threading.enumerate()) - before
+            assert [t.name for t in started] == ["heartbeat-chunk_00000"]
+            clock.advance(10)
+            wait_for({f"{name}.a.json": 10 * 10**9 for name in names})
+            # another worker takes chunk_00001 over
+            os.rename(queue.claimed_dir / "chunk_00001.a.json",
+                      queue.pending_dir / "chunk_00001.json")
+            assert queue.claim("b", clock=clock)["shard_index"] == 1
+            clock.advance(10)
+            wait_for({"chunk_00000.a.json": 20 * 10**9,
+                      "chunk_00001.b.json": 10 * 10**9,
+                      "chunk_00002.a.json": 20 * 10**9})
+            clock.advance(10)
+            wait_for({"chunk_00000.a.json": 30 * 10**9,
+                      "chunk_00001.b.json": 10 * 10**9,
+                      "chunk_00002.a.json": 30 * 10**9})
+            assert worker._heartbeat_thread.is_alive()
+        finally:
+            stop.set()
+            worker._heartbeat_thread.join(timeout=5.0)
+        assert not worker._heartbeat_thread.is_alive()
+
+    def test_run_budget_caps_the_claims(self, tmp_path, monkeypatch):
+        """``run(max_chunks)`` hands its remaining budget to the claim
+        loop: a worker never claims more chunks than it may run."""
+        queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
+        claims = []
+        claim = queue.claim
+
+        def counting(worker, **kwargs):
+            manifest = claim(worker, **kwargs)
+            if manifest is not None:
+                claims.append(manifest["shard_index"])
+            return manifest
+
+        monkeypatch.setattr(queue, "claim", counting)
+        worker = make_worker(queue, "a", FakeClock())
+        assert worker.run(max_chunks=1) == 1
+        assert claims == [0]
+        assert queue.done_chunks() == ["chunk_00000"]
+        assert len(list(queue.pending_dir.iterdir())) == 2
+        assert worker.run(max_chunks=5) == 2
+        assert claims == [0, 1, 2]
+        assert worker.chunks_done == 3
+
+    def test_hold_stops_at_hold_scenarios(self, tmp_path, monkeypatch):
+        """Chunks of 2 under a hold of 3: a step claims two chunks (four
+        scenarios, the first count at or above the hold)."""
+        monkeypatch.setattr(service, "HOLD_SCENARIOS", 3)
+        queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
+        worker = make_worker(queue, "a", FakeClock())
+        assert worker.step() == "ran"
+        assert queue.done_chunks() == ["chunk_00000", "chunk_00001"]
+        assert worker.step() == "ran"
+        assert worker.step() == "drained"
+        assert worker.chunks_done == 3
+
+
 class TestStatusAndCollect:
     def test_status_tracks_lifecycle(self, tmp_path):
         batch = small_batch()
@@ -589,7 +850,7 @@ class TestStatusAndCollect:
         queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
         clock = FakeClock()
         worker = make_worker(queue, "a", clock)
-        worker.step()  # one of three chunks done
+        worker.run(max_chunks=1)  # one of three chunks done
         with pytest.raises(QueueError, match="chunk_00001, chunk_00002"):
             queue.collect()
 
