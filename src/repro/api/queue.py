@@ -424,17 +424,19 @@ class WorkQueue:
         ``age`` is the seconds since the claim's last stamp, or ``None``
         when the lease is expired: older than ``ttl``, or future-dated (the
         clock stepped backwards since the stamp; trusting it would hold a
-        dead worker's lease alive past any TTL).  Both readings are integer
-        nanoseconds, so a stamp read back at the same clock reading has age
-        0, never a rounding error's worth of future.
+        dead worker's lease alive past any TTL).  The clock is read after
+        each stat, so a claim or heartbeat that lands during the scan is
+        not future-dated.  Both readings are integer nanoseconds, so a
+        stamp read back at the same clock reading has age 0, never a
+        rounding error's worth of future.
         """
-        now = round(clock() * 1e9)
         for path in sorted(self.claimed_dir.glob("chunk_*.json")):
             chunk, _, worker = path.name[:-len(".json")].partition(".")
             try:
-                age = now - path.stat().st_mtime_ns
+                stamp = path.stat().st_mtime_ns
             except FileNotFoundError:
                 continue  # completed, released or requeued since the listing
+            age = round(clock() * 1e9) - stamp
             yield chunk, worker, path, (age / 1e9 if 0 <= age <= ttl * 1e9
                                         else None)
 

@@ -2,12 +2,14 @@
 
 A :class:`QueueWorker` is the process that ``repro work`` runs: an
 idle-loop around ``sweep expired leases -> claim chunks -> execute them
-via run_batch -> write each chunk's result``.  A worker claims chunks
-until it holds :data:`HOLD_SCENARIOS` scenarios (or nothing is pending)
-and runs them as one ``run_batch``, so the stacked engine sees one stack
-per hold, not one per chunk; the chunk stays the unit of claims,
-heartbeats, requeue and results, and each chunk's result file carries
-its own slice of the reports and of the cache accounting.  Workers are
+via run_batch -> write each chunk's result``.  While every scenario it
+holds runs on the stacked engine, a worker claims more chunks, up to
+:data:`HOLD_SCENARIOS` scenarios, and runs them as one ``run_batch``, so
+the stacked engine sees one stack per hold, not one per chunk; chunks
+that run per scenario are held one at a time, so several workers share
+them.  The chunk stays the unit of claims, heartbeats, requeue and
+results, and each chunk's result file carries its own slice of the
+reports and of the cache accounting.  Workers are
 fully symmetric -- no coordinator process exists; any worker sweeps
 expired leases before claiming, so a dead worker's chunks are requeued
 by whichever survivor looks next.
@@ -39,14 +41,30 @@ from repro.api.queue import (
 )
 from repro.api.spec import Scenario
 
-#: scenarios one worker holds: :meth:`QueueWorker.step` claims chunks until
-#: it holds at least this many (or nothing is pending) and runs them as one
+#: scenarios one worker holds on the stacked engine: while every scenario
+#: it holds stacks, :meth:`QueueWorker.step` claims chunks until it holds
+#: at least this many (or nothing is pending) and runs them as one
 #: stacked batch.  On one ``queue_sweep`` round (1000 small grids, cache
 #: off) ``run_batch`` took 1.27-1.45 s in stacks of 8, 0.78-0.90 s in 16,
-#: 0.50-0.56 s in 32, 0.40-0.43 s in 64 and 0.27 s in 250: 64 takes most of
-#: the gain while a 250-scenario queue of 8-scenario chunks still feeds 4
-#: workers.
+#: 0.50-0.56 s in 32, 0.40-0.43 s in 64 and 0.27 s in 250: 64 takes most
+#: of the gain.  Unlike 64-scenario chunks, a hold stacks whatever
+#: ``--chunk-size`` a sweep was enqueued with, and leaves per-scenario
+#: queues (``bench_frontier``'s under ``REPRO_QUEUE``) small chunks that
+#: several workers share.
 HOLD_SCENARIOS = 64
+
+
+def _stacks(scenario: Scenario, memo: dict) -> bool:
+    """Whether ``run_batch`` runs ``scenario`` on the stacked engine;
+    ``memo`` keeps the answer per engine and algorithm for one step."""
+    from repro.api.run import _batch_reason
+    from repro.network.engine import resolve_engine_name
+
+    key = (scenario.engine, scenario.algorithm)
+    if key not in memo:
+        memo[key] = resolve_engine_name(scenario.engine) == "batch" \
+            and _batch_reason(scenario) is None
+    return memo[key]
 
 
 class WorkerCrash(RuntimeError):
@@ -97,27 +115,33 @@ class QueueWorker:
     # -- one scheduling round --------------------------------------------
 
     def step(self, max_chunks: int | None = None) -> str:
-        """One round: sweep expired leases, then claim chunks until this
-        worker holds :data:`HOLD_SCENARIOS` scenarios, ``max_chunks``
-        chunks, or everything pending, and execute them.  Returns
+        """One round: sweep expired leases, then claim chunks and execute
+        them.  The worker claims one chunk, and more while every scenario
+        it holds runs on the stacked engine, until it holds
+        :data:`HOLD_SCENARIOS` scenarios, ``max_chunks`` chunks, or
+        everything pending.  Returns
         ``"ran"`` (chunks were executed), ``"wait"`` (nothing claimable
         right now -- some chunks are leased out), or ``"drained"`` (every
         chunk has a result)."""
         for chunk in self.queue.requeue_expired(self.ttl, clock=self.clock):
             self.log(f"worker {self.worker_id}: requeued {chunk} "
                      "(lease expired)")
-        held: list = []
+        held: list = []  # (manifest, its scenarios) per claimed chunk
         try:
-            size = 0
-            while size < HOLD_SCENARIOS \
-                    and (max_chunks is None or len(held) < max_chunks):
+            size, memo = 0, {}
+            while max_chunks is None or len(held) < max_chunks:
                 manifest = self.queue.claim(self.worker_id, clock=self.clock)
                 if manifest is None:
                     break
-                held.append(manifest)
-                size += len(manifest["scenarios"])
+                scenarios = [Scenario.from_dict(item["scenario"])
+                             for item in manifest["scenarios"]]
+                held.append((manifest, scenarios))
+                size += len(scenarios)
+                if size >= HOLD_SCENARIOS \
+                        or not all(_stacks(s, memo) for s in scenarios):
+                    break
         except BaseException:
-            self._release([_chunk_name(m["shard_index"]) for m in held])
+            self._release([_chunk_name(m["shard_index"]) for m, _ in held])
             raise
         if not held:
             return "drained" if self.queue.is_drained() else "wait"
@@ -142,9 +166,10 @@ class QueueWorker:
 
     # -- chunk execution -------------------------------------------------
 
-    def execute(self, manifests) -> None:
-        """Execute held chunks as one ``run_batch`` and record each one's
-        result: its own slice of the reports and of the cache accounting
+    def execute(self, held) -> None:
+        """Execute held ``(manifest, scenarios)`` chunks as one
+        ``run_batch`` and record each one's result: its own slice of the
+        reports and of the cache accounting
         (:meth:`~repro.api.run.BatchResult.split`).
 
         The heartbeat thread (when enabled) refreshes every held lease on
@@ -157,9 +182,8 @@ class QueueWorker:
         """
         from repro.api.run import run_batch
 
-        chunks = [_chunk_name(m["shard_index"]) for m in manifests]
-        scenarios = [Scenario.from_dict(item["scenario"])
-                     for m in manifests for item in m["scenarios"]]
+        chunks = [_chunk_name(m["shard_index"]) for m, _ in held]
+        scenarios = [s for _, part in held for s in part]
         self.log(f"worker {self.worker_id}: claimed {', '.join(chunks)} "
                  f"({len(scenarios)} scenario(s))")
         stop = self._start_heartbeat(*chunks)
@@ -171,8 +195,8 @@ class QueueWorker:
                                 cache=self.cache, cache_dir=self.cache_dir,
                                 compute_bound=self.compute_bound,
                                 bound_method=self.bound_method)
-            parts = reports.split(len(m["scenarios"]) for m in manifests)
-            for manifest, part in zip(manifests, parts):
+            parts = reports.split(len(part) for _, part in held)
+            for (manifest, _), part in zip(held, parts):
                 self.queue.complete(manifest, part, self.worker_id)
                 self.log(f"worker {self.worker_id}: completed {chunks[done]}")
                 done += 1

@@ -8,8 +8,9 @@ per-packet array carries all jobs' requests, nodes get per-scenario id
 offsets so no contention group ever mixes scenarios, and each global
 tick resolves the decisions of *all* scenarios in one grouped
 sort/scatter pass (:mod:`repro.network.kernel` picks the sort).
-:class:`FastBatchEngine` runs a whole sweep as one stack (numpy call
-overhead is paid once per tick, not once per tick per scenario);
+:class:`FastBatchEngine` runs a whole sweep as one stack, or as few
+stacks as :data:`MAX_CELLS` allows (numpy call overhead is paid once per
+tick, not once per tick per scenario);
 :class:`~repro.network.fast_engine.FastEngine` is a stack
 of one job.
 
@@ -80,7 +81,9 @@ from repro.util.errors import CapacityError, ValidationError
 #: ``d`` (the per-node geometry and the load table) and total requests x
 #: ``d`` (the per-packet arrays) are each refused above it.  A stack
 #: peaks at about 60 bytes a node cell (measured on 1000x1000 and
-#: 2000x2000 grids), so about 1 GB at the cap
+#: 2000x2000 grids), so about 1 GB at the cap.
+#: :meth:`FastBatchEngine.run_many` cuts a sweep into stacks under it, so
+#: only a single job above it is refused
 MAX_CELLS = 16_000_000
 
 
@@ -423,8 +426,8 @@ def _run_stack(jobs, engine: str) -> list:
         raise ValidationError(
             f"stack too large: {m} job(s) with {rows} request(s) on {nodes} "
             f"node(s) of dimension {d} need {max(nodes, rows) * d} array "
-            f"cells > MAX_CELLS = {MAX_CELLS}; shrink the grids or the "
-            "request sets, or run fewer scenarios at once")
+            f"cells > MAX_CELLS = {MAX_CELLS}; shrink the grid or the "
+            "request set")
     # the loop writes only to its own arrays (loc is a copy), so the
     # columns may be a table's read-only ones
     if m == 1:
@@ -617,7 +620,8 @@ def _run_stack(jobs, engine: str) -> list:
 
 
 class FastBatchEngine:
-    """Run many Model 1 jobs as one stacked array program.
+    """Run many Model 1 jobs as one stacked array program (or a few
+    consecutive ones, when one would exceed :data:`MAX_CELLS`).
 
     ``jobs`` is a sequence of ``(network, policy, requests, horizon)``
     quadruples.  Construction raises
@@ -680,5 +684,19 @@ class FastBatchEngine:
 
     def run_many(self) -> list:
         """Execute every job; one :class:`SimulationResult` per job, in
-        job order, each bit-identical to a per-scenario run."""
-        return _run_stack(self.jobs, "batch")
+        job order, each bit-identical to a per-scenario run.
+
+        Consecutive jobs share a stack while it stays within
+        :data:`MAX_CELLS`, counted as :func:`_run_stack` counts them; a
+        job that alone exceeds the cap is refused."""
+        results, stack, nodes, rows, d = [], [], 0, 0, 0
+        for job in self.jobs:
+            network, _policy, requests, _horizon = job
+            nodes, rows = nodes + network.n, rows + len(requests)
+            d = max(d, network.d)
+            if stack and max(nodes, rows) * d > MAX_CELLS:
+                results += _run_stack(stack, "batch")
+                stack, nodes, rows, d = [], network.n, len(requests), \
+                    network.d
+            stack.append(job)
+        return results + _run_stack(stack, "batch")

@@ -203,25 +203,42 @@ class TestSizeGuard:
         assert proc.stdout.strip() == (
             "refused: stack too large: 1 job(s) with 1 request(s) on "
             "1600000000 node(s) of dimension 2 need 3200000000 array cells "
-            f"> MAX_CELLS = {fast_batch_engine.MAX_CELLS}; shrink the grids "
-            "or the request sets, or run fewer scenarios at once")
+            f"> MAX_CELLS = {fast_batch_engine.MAX_CELLS}; shrink the grid "
+            "or the request set")
 
-    def test_guard_counts_the_whole_stack(self, monkeypatch):
+    def test_sweep_over_the_cap_runs_in_several_stacks(self, monkeypatch):
         """Two 8x8 jobs (128 node cells each) fit under a cap of 200 cells
-        alone but not together; requests count by the same cap."""
-        monkeypatch.setattr(fast_batch_engine, "MAX_CELLS", 200)
+        alone but not together: they run as two stacks, with the results
+        of one stack.  Requests count by the same cap, and only a job
+        that alone exceeds it is refused."""
         net = GridNetwork((8, 8), 2, 2)
-        job = (net, GreedyPolicy("fifo"), [Request((0, 0), (1, 1), 0)], 10)
-        FastBatchEngine([job]).run_many()
-        with pytest.raises(ValidationError,
-                           match=r"2 job\(s\) with 2 request\(s\) on 128 "
-                                 r"node\(s\) of dimension 2 need 256"):
-            FastBatchEngine([job, job]).run_many()
+        jobs = [(net, GreedyPolicy(p), [Request((0, 0), (1, 1), 0),
+                                        Request((0, 1), (3, 1), 1)], 10)
+                for p in ("fifo", "lifo", "fifo")]
+        one_stack = FastBatchEngine(jobs).run_many()
+        stacks = []
+        run_stack = fast_batch_engine._run_stack
+
+        def counting(stack, engine):
+            stacks.append(len(stack))
+            return run_stack(stack, engine)
+
+        monkeypatch.setattr(fast_batch_engine, "_run_stack", counting)
+        monkeypatch.setattr(fast_batch_engine, "MAX_CELLS", 200)
+        split = FastBatchEngine(jobs).run_many()
+        assert stacks == [1, 1, 1]
+        for a, b in zip(one_stack, split):
+            assert_results_identical(a, b, "split stack")
+        monkeypatch.setattr(fast_batch_engine, "MAX_CELLS", 256)
+        stacks.clear()
+        FastBatchEngine(jobs).run_many()
+        assert stacks == [2, 1]
         line = LineNetwork(4, 2, 2)
-        many = [Request.line(0, 1, t, rid=t) for t in range(201)]
-        with pytest.raises(ValidationError, match=r"201 request\(s\) on 4 "):
-            FastBatchEngine([(line, GreedyPolicy("fifo"), many, 300)]
-                            ).run_many()
+        many = [Request.line(0, 1, t, rid=t) for t in range(257)]
+        with pytest.raises(ValidationError,
+                           match=r"1 job\(s\) with 257 request\(s\) on 4 "):
+            FastBatchEngine([jobs[0], (line, GreedyPolicy("fifo"), many,
+                                       300)]).run_many()
 
 
 #: the oversized stack of test_oversized_grid_refused_before_allocating,
@@ -479,6 +496,23 @@ class TestRunBatchIntegration:
                           "latency_max", "steps", "meta"):
                 a, b = getattr(one, field), getattr(many, field)
                 assert a == b or (a != a and b != b), field
+
+    def test_stacked_sweep_over_the_cap_matches(self, monkeypatch):
+        """A sweep above ``MAX_CELLS`` runs as several stacks and reports
+        what one stack does (a 5x5 job is 50 cells, so 2 a stack)."""
+        batch = _sweep_scenarios(engine="batch")
+        one_stack = run_batch(batch)
+        monkeypatch.setattr(fast_batch_engine, "MAX_CELLS", 120)
+        stacks = []
+        run_stack = fast_batch_engine._run_stack
+
+        def counting(stack, engine):
+            stacks.append(len(stack))
+            return run_stack(stack, engine)
+
+        monkeypatch.setattr(fast_batch_engine, "_run_stack", counting)
+        assert list(run_batch(batch)) == list(one_stack)
+        assert stacks == [2, 2, 2]
 
     def test_warmed_cache_spawns_no_stacked_execution(self, tmp_path,
                                                       monkeypatch):

@@ -55,8 +55,8 @@ def scenario(seed=0, algorithm="ntg", n=12, num=16, engine=None):
     )
 
 
-def small_batch(n_seeds=3, algorithms=("ntg", "greedy")):
-    return [scenario(seed=s, algorithm=a)
+def small_batch(n_seeds=3, algorithms=("ntg", "greedy"), engine=None):
+    return [scenario(seed=s, algorithm=a, engine=engine)
             for s in range(n_seeds) for a in algorithms]
 
 
@@ -251,6 +251,25 @@ class TestLeaseStateMachine:
             == ["chunk_00000"]
         assert (queue.pending_dir / "chunk_00000.json").exists()
 
+    def test_stamp_during_a_sweep_is_not_future_dated(self, tmp_path):
+        """Another worker's heartbeat may land between a sweep's clock
+        reading and its stat of that claim; the sweep must not read it as
+        future-dated and requeue a live worker's chunk."""
+        queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
+        queue.claim("a", clock=FakeClock(99.0))
+        now = [100.0]
+
+        def sweep_clock():
+            reading = now[0]
+            now[0] += 1.0  # a's heartbeat lands just after this reading
+            queue.heartbeat("chunk_00000", "a", clock=lambda: now[0])
+            return reading
+
+        assert queue.requeue_expired(ttl=30, clock=sweep_clock) == []
+        assert claimed(queue) == ["chunk_00000.a.json"]
+        status = queue.status(ttl=30, clock=sweep_clock)
+        assert (status.chunks_active, status.chunks_expired) == (1, 0)
+
     def test_unrefreshed_claim_counts_as_expired(self, tmp_path):
         queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
         clock = FakeClock()
@@ -428,10 +447,7 @@ class TestCrashRequeue:
         with pytest.raises(WorkerCrash):
             crasher.step()
         assert list(queue.results_dir.iterdir()) == []
-        # the crasher held all three chunks: every claim is left stale
-        assert claimed(queue) == ["chunk_00000.crasher.json",
-                                  "chunk_00001.crasher.json",
-                                  "chunk_00002.crasher.json"]
+        assert claimed(queue) == ["chunk_00000.crasher.json"]
 
         # within the TTL nothing moves; past it the rescuer requeues
         rescuer = make_worker(queue, "rescuer", clock, cache_dir=cache_dir,
@@ -562,19 +578,25 @@ def test_chaos_histories_collect_serial(seeds, chunk_size, schedule,
     seeds=st.lists(st.integers(0, 6), min_size=1, max_size=6, unique=True),
     chunk_size=st.integers(1, 4),
     hold=st.integers(1, 12),
+    stacked=st.lists(st.booleans(), min_size=12, max_size=12),
     schedule=st.lists(st.integers(0, 2), min_size=1, max_size=40),
     crash_at=st.integers(0, 5),
     crash_progress=st.integers(0, 3),
 )
 def test_chaos_histories_with_holds_collect_serial(
-        seeds, chunk_size, hold, schedule, crash_at, crash_progress):
-    """The chaos history above with the hold drawn too (1-12 scenarios):
-    holds of one chunk keep single-chunk interleavings fuzzed, larger
-    ones let a crash strand several claims and a requeue split a hold
-    across workers -- and the collected batch still equals the serial
-    ``run_batch`` report-for-report, including ``meta``."""
-    batch = [scenario(seed=s, algorithm=a)
-             for s in seeds for a in ("ntg", "greedy")]
+        seeds, chunk_size, hold, stacked, schedule, crash_at,
+        crash_progress):
+    """The chaos history above with the hold drawn too (1-12 scenarios)
+    and each scenario on the stacked engine or not: holds of one chunk
+    keep single-chunk interleavings fuzzed, larger ones let a crash
+    strand several claims and a requeue split a hold across workers, and
+    a chunk that runs per scenario ends a hold -- and the collected batch
+    still equals the serial ``run_batch`` report-for-report, including
+    ``meta``."""
+    batch = [scenario(seed=s, algorithm=a,
+                      engine="batch" if stacked[2 * i + j] else None)
+             for i, s in enumerate(seeds)
+             for j, a in enumerate(("ntg", "greedy"))]
     serial = run_batch(batch, cache="off")
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(service, "HOLD_SCENARIOS", hold):
@@ -623,9 +645,10 @@ def result_files(queue) -> dict:
 
 
 class TestHold:
-    """A worker claims chunks until it holds ``HOLD_SCENARIOS`` scenarios
-    and runs them as one ``run_batch``; the chunk stays the unit of
-    claims, heartbeats, release and results."""
+    """While everything it holds runs on the stacked engine, a worker
+    claims chunks until it holds ``HOLD_SCENARIOS`` scenarios and runs
+    them as one ``run_batch``; the chunk stays the unit of claims,
+    heartbeats, release and results."""
 
     @staticmethod
     def drained_files(root, batch, hold, cache, monkeypatch) -> dict:
@@ -671,7 +694,8 @@ class TestHold:
                                               cache, monkeypatch)
         single, single_steps = self.drained_files(tmp_path / "single", batch,
                                                   1, cache, monkeypatch)
-        assert (held_steps, single_steps) == (1, 6)
+        # a chunk with an edd scenario ends a hold: chunks 0, 1+2, 3+4+5
+        assert (held_steps, single_steps) == (3, 6)
         assert held.keys() == single.keys() and len(held) == 6
         for name in held:
             assert held[name] == single[name], name
@@ -685,7 +709,8 @@ class TestHold:
         assert len({json.dumps(f, sort_keys=True) for f in footers}) > 1
 
     def test_error_releases_every_held_chunk(self, tmp_path, monkeypatch):
-        queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
+        queue = WorkQueue.create(tmp_path / "q", small_batch(engine="batch"),
+                                 chunk_size=2)
         worker = make_worker(queue, "a", FakeClock())
 
         def failing(*args, **kwargs):
@@ -707,7 +732,8 @@ class TestHold:
                                                         monkeypatch):
         """A chunk whose result was written stays done; the held chunks
         without a result go back to ``pending/``."""
-        queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
+        queue = WorkQueue.create(tmp_path / "q", small_batch(engine="batch"),
+                                 chunk_size=2)
         worker = make_worker(queue, "a", FakeClock())
         complete = queue.complete
 
@@ -772,7 +798,8 @@ class TestHold:
     def test_run_budget_caps_the_claims(self, tmp_path, monkeypatch):
         """``run(max_chunks)`` hands its remaining budget to the claim
         loop: a worker never claims more chunks than it may run."""
-        queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
+        queue = WorkQueue.create(tmp_path / "q", small_batch(engine="batch"),
+                                 chunk_size=2)
         claims = []
         claim = queue.claim
 
@@ -796,13 +823,92 @@ class TestHold:
         """Chunks of 2 under a hold of 3: a step claims two chunks (four
         scenarios, the first count at or above the hold)."""
         monkeypatch.setattr(service, "HOLD_SCENARIOS", 3)
-        queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
+        queue = WorkQueue.create(tmp_path / "q", small_batch(engine="batch"),
+                                 chunk_size=2)
         worker = make_worker(queue, "a", FakeClock())
         assert worker.step() == "ran"
         assert queue.done_chunks() == ["chunk_00000", "chunk_00001"]
         assert worker.step() == "ran"
         assert worker.step() == "drained"
         assert worker.chunks_done == 3
+
+    def test_per_scenario_chunks_are_held_one_at_a_time(self, tmp_path,
+                                                        monkeypatch):
+        """A chunk that runs per scenario ends the hold, so such queues
+        keep one chunk per step for several workers to share; the engine
+        is resolved as ``run_batch`` resolves it, ``REPRO_ENGINE``
+        included."""
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
+        worker = make_worker(queue, "a", FakeClock())
+        assert worker.step() == "ran"
+        assert queue.done_chunks() == ["chunk_00000"]
+
+        # stacked, per-scenario, stacked chunks (the engine is not part
+        # of a scenario's digest, so the chunks keep their members)
+        middle = {item["index"] for item in json.loads(
+            (queue.pending_dir / "chunk_00001.json").read_text())["scenarios"]}
+        batch = [s if i in middle else s.replace(engine="batch")
+                 for i, s in enumerate(small_batch())]
+        queue = WorkQueue.create(tmp_path / "mixed", batch, chunk_size=2)
+        worker = make_worker(queue, "a", FakeClock())
+        assert worker.step() == "ran"
+        assert queue.done_chunks() == ["chunk_00000", "chunk_00001"]
+        assert worker.step() == "ran"
+        assert worker.step() == "drained"
+
+        monkeypatch.setenv("REPRO_ENGINE", "batch")
+        queue = WorkQueue.create(tmp_path / "env", small_batch(),
+                                 chunk_size=2)
+        worker = make_worker(queue, "a", FakeClock())
+        assert worker.step() == "ran"
+        assert queue.is_drained()
+
+    def test_crash_midhold_leaves_every_claim_stale(self, tmp_path):
+        """A worker dies after one scenario of a three-chunk hold: all
+        three claims go stale, a rescuer requeues and reruns them, and
+        the collected batch equals the serial run with exactly accounted
+        hits/misses."""
+        batch = small_batch(engine="batch")
+        serial = run_batch(batch, cache="off")
+        queue = WorkQueue.create(tmp_path / "q", batch, chunk_size=2)
+        clock = FakeClock()
+        cache_dir = tmp_path / "cache"
+        crasher = make_worker(queue, "crasher", clock, cache_dir=cache_dir,
+                              crash_after=1)
+        with pytest.raises(WorkerCrash):
+            crasher.step()
+        assert list(queue.results_dir.iterdir()) == []
+        assert claimed(queue) == ["chunk_00000.crasher.json",
+                                  "chunk_00001.crasher.json",
+                                  "chunk_00002.crasher.json"]
+
+        rescuer = make_worker(queue, "rescuer", clock, cache_dir=cache_dir,
+                              ttl=30)
+        clock.advance(31)
+        assert rescuer.run() == 3
+        merged = queue.collect()
+        assert list(merged) == list(serial)
+        assert [r.meta for r in merged] == [r.meta for r in serial]
+        stats = merged.cache_stats
+        n = len(batch)
+        assert (stats.hits, stats.misses, stats.stores) == (1, n - 1, n - 1)
+
+    def test_hold_above_the_stack_cap_drains(self, tmp_path, monkeypatch):
+        """A hold larger than ``MAX_CELLS`` runs as several stacks: with
+        the cap between one chunk and two, the one-step drain still
+        equals serial."""
+        from repro.network import fast_batch_engine
+
+        batch = small_batch(engine="batch")
+        serial = run_batch(batch, cache="off")
+        # a job is 16 requests on 12 nodes of dimension 1: 16 cells
+        monkeypatch.setattr(fast_batch_engine, "MAX_CELLS", 40)
+        queue = WorkQueue.create(tmp_path / "q", batch, chunk_size=2)
+        worker = make_worker(queue, "a", FakeClock())
+        assert worker.step() == "ran"
+        assert queue.is_drained()
+        assert list(queue.collect()) == list(serial)
 
 
 class TestStatusAndCollect:
