@@ -88,8 +88,9 @@ QUEUE_SCHEMA = 2
 DEFAULT_TTL = 60.0
 
 #: default scenarios per chunk -- small enough that a crash loses little
-#: and stragglers rebalance.  The engine overhead no longer rides on it: a
-#: worker runs every chunk it holds as one batch (``service.HOLD_SCENARIOS``)
+#: and stragglers rebalance.  The stacked engine's overhead no longer rides
+#: on it: a worker runs the stacked chunks it holds as one batch
+#: (``service.HOLD_SCENARIOS``)
 DEFAULT_CHUNK_SIZE = 8
 
 
