@@ -46,7 +46,7 @@ half-finished chunk replays its completed scenarios as cache hits, so
 crashes cost at most one chunk's partial work.
 
 Liveness caveat (deliberate): a chunk that *deterministically* raises
-(e.g. every scenario explicitly pinned to an engine that rejects it)
+(e.g. a scenario too large for the stacked engine's size guard)
 will fail on every worker that pulls it and bounce back to ``pending``
 forever -- the queue never converts an error into a silent skip.
 ``enqueue``'s capability pre-check (mirroring ``sweep --shards``) is
@@ -69,12 +69,13 @@ from dataclasses import dataclass, field
 
 from repro.api.cache import CacheStats
 from repro.api.dispatch import (
+    _coerce_scenarios,
     load_manifest,
     plan_shards,
     write_manifest,
     write_shard_result,
 )
-from repro.api.run import BatchResult
+from repro.api.run import BatchResult, _stacks
 from repro.util import atomic_write
 from repro.util.errors import ValidationError
 
@@ -87,11 +88,19 @@ QUEUE_SCHEMA = 2
 #: considered abandoned) and the matching heartbeat cadence divisor
 DEFAULT_TTL = 60.0
 
-#: default scenarios per chunk -- small enough that a crash loses little
-#: and stragglers rebalance.  The stacked engine's overhead no longer rides
-#: on it: a worker runs the stacked chunks it holds as one batch
-#: (``service.HOLD_SCENARIOS``)
+#: scenarios per chunk when :meth:`WorkQueue.create` is given no chunk
+#: size and some scenario runs per scenario: small enough that a crash
+#: loses little and that several workers share a short sweep
 DEFAULT_CHUNK_SIZE = 8
+
+#: scenarios per chunk when :meth:`WorkQueue.create` is given no chunk
+#: size and every scenario runs on the stacked engine, which runs a chunk
+#: as one stack.  On one ``queue_sweep`` round (1000 small grids, cache
+#: off) ``run_batch`` took 1.27-1.45 s in stacks of 8, 0.78-0.90 s in 16,
+#: 0.50-0.56 s in 32, 0.40-0.43 s in 64 and 0.27 s in 250: 64 takes most
+#: of the gain, and a sweep of S scenarios still keeps ceil(S / 64)
+#: workers busy
+STACKED_CHUNK_SIZE = 64
 
 
 class QueueError(ValidationError):
@@ -164,12 +173,16 @@ class WorkQueue:
     # -- creation and loading --------------------------------------------
 
     @classmethod
-    def create(cls, root, scenarios, *, chunk_size: int = DEFAULT_CHUNK_SIZE,
+    def create(cls, root, scenarios, *, chunk_size: int | None = None,
                clock=time.time) -> "WorkQueue":
         """Enqueue a batch: plan digest-ordered chunks and populate the
         queue directory.
 
-        Chunks come from :func:`repro.api.dispatch.plan_shards` with
+        Without a ``chunk_size`` the chunks hold :data:`STACKED_CHUNK_SIZE`
+        scenarios when every scenario runs on the stacked engine (as
+        ``run_batch`` decides it, ``REPRO_ENGINE`` of this process
+        included), and :data:`DEFAULT_CHUNK_SIZE` otherwise.  Chunks come
+        from :func:`repro.api.dispatch.plan_shards` with
         ``n_shards = ceil(len(scenarios) / chunk_size)`` -- so chunk
         manifests *are* shard manifests, chunk results *are* shard result
         files, and ``collect`` is a plain :func:`~repro.api.dispatch.
@@ -180,7 +193,7 @@ class WorkQueue:
         Refuses to reuse a directory that already holds a queue (finished
         or not): requeueing is a new directory, never a silent overwrite.
         """
-        if chunk_size < 1:
+        if chunk_size is not None and chunk_size < 1:
             raise QueueError(f"chunk_size must be >= 1, got {chunk_size}")
         queue = cls(root)
         if queue.header_path.exists():
@@ -188,7 +201,10 @@ class WorkQueue:
                 f"{queue.root} already holds a queue (batch "
                 f"{queue.header().get('batch_digest')}); enqueue into a "
                 "fresh directory")
-        scenarios = list(scenarios)
+        scenarios = _coerce_scenarios(scenarios)
+        if chunk_size is None:
+            chunk_size = STACKED_CHUNK_SIZE if all(_stacks(scenarios)) \
+                else DEFAULT_CHUNK_SIZE
         n_chunks = max(1, math.ceil(len(scenarios) / chunk_size))
         manifests = plan_shards(scenarios, n_chunks)  # validates the batch
         for directory in (queue.pending_dir, queue.claimed_dir,

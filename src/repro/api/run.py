@@ -12,12 +12,13 @@ from its own ``(seed, digest)`` -- see :mod:`repro.api.spec` -- batch
 output is bit-identical to the serial run for any worker count.
 
 Scenarios that resolve to the ``"batch"`` engine take a third path:
-eligible ones (see :func:`_batch_reason`) are *stacked* -- the whole
+eligible ones (see :func:`_stacks`) are *stacked* -- the whole
 group runs as one fused array program in the parent process through
 :class:`~repro.network.fast_batch_engine.FastBatchEngine`, which
 amortizes the per-step numpy overhead across the group instead of
 paying it once per scenario.  Ineligible scenarios fall back to the
-per-scenario path; the measured quantities are bit-identical either
+per-scenario path, whether ``"batch"`` was named explicitly or by
+``REPRO_ENGINE``; the measured quantities are bit-identical either
 way (fuzz-enforced by ``tests/test_differential.py``).
 
 Both accept ``cache="off" | "read" | "readwrite"`` (default: ``"off"``,
@@ -34,7 +35,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -59,12 +59,11 @@ class ScenarioError(ValidationError):
 _bound_cache: dict = {}
 
 #: (cache root or None, writes enabled, call-scoped memo or None, bound
-#: method, memo keys whose bound was computed or None) -- the on-disk tier
-#: below the memo.  Module state rather than an ``_execute`` parameter so
-#: the worker entry point and every monkeypatched ``_execute`` keep their
-#: signatures; set via :func:`_bound_io` in the parent and from the chunk
-#: args in workers.
-_BOUND_IO: tuple = (None, False, None, "maxflow", None)
+#: method) -- the on-disk tier below the memo.  Module state rather than
+#: an ``_execute`` parameter so the worker entry point and every
+#: monkeypatched ``_execute`` keep their signatures; set via
+#: :func:`_bound_io` in the parent and from the chunk args in workers.
+_BOUND_IO: tuple = (None, False, None, "maxflow")
 
 
 def _check_bound_method(method: str) -> str:
@@ -93,8 +92,8 @@ def _bound_io(store, mode: str, method: str = "maxflow"):
     """
     global _BOUND_IO
     previous = _BOUND_IO
-    _BOUND_IO = (store, mode == "readwrite", {}, method, []) \
-        if store is not None else (None, False, None, method, None)
+    _BOUND_IO = (store, mode == "readwrite", {}, method) if store is not None \
+        else (None, False, None, method)
     try:
         yield
     finally:
@@ -102,7 +101,7 @@ def _bound_io(store, mode: str, method: str = "maxflow"):
 
 
 def _instance_bound(scenario: Scenario, network, requests) -> float:
-    store, write, memo, method, computed = _BOUND_IO
+    store, write, memo, method = _BOUND_IO
     key = (method, scenario.seed, scenario.instance_key())
     if store is None:
         value = _bound_cache.get(key)
@@ -118,10 +117,8 @@ def _instance_bound(scenario: Scenario, network, requests) -> float:
     if value is None:
         value = float(offline.offline_bound(network, requests, scenario.horizon,
                                             method=method))
-        if store is not None:
-            computed.append(key)
-            if write:
-                store.store_bound(scenario, value, method)
+        if store is not None and write:
+            store.store_bound(scenario, value, method)
     if memo is not None:
         memo[key] = value
     if len(_bound_cache) > 4096:
@@ -433,10 +430,9 @@ def run(scenario: Scenario, *, cache: str | None = None,
 def _run_chunk(args) -> tuple:
     """Run one worker's chunk serially; module-level so it pickles.
 
-    Returns ``(reports, bound_stats, computed)``, ``computed`` listing the
-    bound keys this chunk solved (see :func:`_instance_bound`).  Workers
-    never consult the *report* cache: the parent resolved every hit
-    before sharding and performs the stores itself (single writer).  They do share the
+    Returns ``(reports, bound_stats)``.  Workers never consult the
+    *report* cache: the parent resolved every hit before sharding and
+    performs the stores itself (single writer).  They do share the
     *bound* tier -- offline bounds are instance-keyed,
     algorithm-independent values whose recomputation across processes is
     exactly what the on-disk entries exist to avoid (atomic writes make
@@ -449,9 +445,7 @@ def _run_chunk(args) -> tuple:
     with _bound_io(store, "readwrite" if bound_write else "read",
                    bound_method):
         reports = [_execute(s, compute_bound) for s in scenarios]
-        computed = _BOUND_IO[4] or []
-    return reports, (store.stats if store is not None else CacheStats()), \
-        computed
+    return reports, (store.stats if store is not None else CacheStats())
 
 
 def _batch_reason(scenario: Scenario) -> str | None:
@@ -464,8 +458,7 @@ def _batch_reason(scenario: Scenario) -> str | None:
     e.g. ``edd(adapter=true)``), and
     :meth:`~repro.network.fast_batch_engine.FastBatchEngine.unsupported_reason`
     accepts the resulting policy.  Ineligible scenarios fall back to the
-    per-scenario path; :func:`run_batch` raises only when every
-    explicitly ``engine="batch"`` scenario is ineligible.
+    per-scenario path (see :func:`_stacks`).
     """
     from repro.network.fast_batch_engine import FastBatchEngine
 
@@ -480,6 +473,22 @@ def _batch_reason(scenario: Scenario) -> str | None:
         return (f"{scenario.algorithm} is parameterized for the "
                 "per-scenario path")
     return FastBatchEngine.unsupported_reason(policy)
+
+
+def _stacks(scenarios) -> list:
+    """Whether :func:`run_batch` runs each of ``scenarios`` on the stacked
+    engine: its engine resolves to ``"batch"`` and :func:`_batch_reason`
+    accepts it.  The answer depends only on the engine and the algorithm,
+    so it is worked out once per pair."""
+    memo: dict = {}
+    flags = []
+    for scenario in scenarios:
+        key = (scenario.engine, scenario.algorithm)
+        if key not in memo:
+            memo[key] = resolve_engine_name(scenario.engine) == "batch" \
+                and _batch_reason(scenario) is None
+        flags.append(memo[key])
+    return flags
 
 
 def _execute_stacked(scenarios, compute_bound: bool) -> list:
@@ -516,35 +525,9 @@ def _execute_stacked(scenarios, compute_bound: bool) -> list:
 
 class BatchResult(list):
     """``run_batch`` output: a plain list of reports, in input order, plus
-    the batch's cache accounting (``None`` when the cache was off).
-
-    With the cache on, ``run_batch`` also keeps each position's share of
-    that accounting, so :meth:`split` can cut the batch into slices whose
-    ``cache_stats`` count their own positions only.
-    """
+    the batch's cache accounting (``None`` when the cache was off)."""
 
     cache_stats: CacheStats | None = None
-    #: per position ``[hits, misses, stores, invalid, bound_hits,
-    #: bound_misses]`` (the :class:`CacheStats` fields in order), or None
-    _events: list | None = None
-
-    def split(self, sizes) -> list:
-        """Cut into consecutive slices of ``sizes`` reports, each a
-        :class:`BatchResult` whose ``cache_stats`` (``None`` when the cache
-        was off) sum the events of its own positions."""
-        sizes = list(sizes)
-        if sum(sizes) != len(self):
-            raise ValueError(
-                f"slice sizes {sizes} do not cover {len(self)} reports")
-        parts, start = [], 0
-        for size in sizes:
-            part = BatchResult(self[start:start + size])
-            if self._events is not None:
-                part._events = self._events[start:start + size]
-                part.cache_stats = CacheStats(*map(sum, zip(*part._events)))
-            parts.append(part)
-            start += size
-        return parts
 
 
 def run_batch(scenarios, workers: int | None = None, *,
@@ -579,20 +562,14 @@ def run_batch(scenarios, workers: int | None = None, *,
     position and one store per *unique* scenario.
 
     Scenarios resolving to ``engine="batch"`` (explicitly or via
-    ``REPRO_ENGINE=batch``) are partitioned: the batch-eligible subset
-    runs as one stacked array execution in the parent, the rest fall
-    back per-scenario.  A batch where *every* explicitly
-    ``engine="batch"`` scenario is ineligible raises a clean
-    :class:`ScenarioError` listing the reasons; env-derived selection
-    always degrades gracefully.  With the cache on, the offline-bound
-    tier (``bound_*.json`` entries keyed by ``(seed, instance)``) is
-    shared across algorithms, workers, and sessions, so each instance's
-    max-flow bound is computed once ever, not once per algorithm.
-
-    The cache accounting is also kept per position (a lookup, a store,
-    and a bound event for each executed scenario), so the queue worker
-    can run several chunks as one batch and still give each chunk's
-    result file its own stats (:meth:`BatchResult.split`).
+    ``REPRO_ENGINE=batch``) are partitioned by :func:`_stacks`: the
+    batch-eligible subset runs as one stacked array execution in the
+    parent, the rest fall back per-scenario, so how a batch is cut into
+    shards or chunks never decides whether it runs.  With the cache on,
+    the offline-bound tier (``bound_*.json`` entries keyed by ``(seed,
+    instance)``) is shared across algorithms, workers, and sessions, so
+    each instance's max-flow bound is computed once ever, not once per
+    algorithm.
     """
     scenarios = [
         s if isinstance(s, Scenario) else Scenario.from_dict(s)
@@ -602,21 +579,15 @@ def run_batch(scenarios, workers: int | None = None, *,
     mode, store = _open_cache(cache, cache_dir)
     results: list = [None] * len(scenarios)
     pending = list(range(len(scenarios)))
-    events = None  # per position, see BatchResult._events
     if store is not None:
         pending = []
-        events = [[0] * 6 for _ in scenarios]
         for i, scenario in enumerate(scenarios):
-            invalid = store.stats.invalid
             report = store.load(scenario, require_bound=compute_bound,
                                 bound_method=bound_method)
             if report is not None:
                 results[i] = report
-                events[i][0] = 1
             else:
                 pending.append(i)
-                events[i][1] = 1
-                events[i][3] = store.stats.invalid - invalid
 
     # duplicate positions collapse onto their first occurrence (Scenario
     # is frozen and hashable); only primaries execute and store
@@ -631,36 +602,15 @@ def run_batch(scenarios, workers: int | None = None, *,
             duplicates.setdefault(first, []).append(i)
     pending = unique_pending
 
-    # partition: scenarios that resolve to the "batch" engine and pass the
-    # eligibility predicate run as ONE stacked array execution in the
-    # parent; everything else takes the per-scenario serial/pool path
-    stacked: list = []
-    requested = [i for i in pending
-                 if resolve_engine_name(scenarios[i].engine) == "batch"]
-    if requested:
-        reasons: dict = {}
-        for i in requested:
-            reason = _batch_reason(scenarios[i])
-            if reason is None:
-                stacked.append(i)
-            else:
-                reasons[i] = reason
-        explicit = [i for i in requested if scenarios[i].engine == "batch"]
-        if explicit and not stacked:
-            # explicit engine="batch" with nothing to stack is a
-            # capability error, reported cleanly (env-derived selection
-            # falls back silently, like REPRO_ENGINE=fast does)
-            lines = [f"  {scenarios[i].algorithm}: {reasons[i]}"
-                     for i in explicit[:5]]
-            raise ScenarioError(
-                "engine 'batch': no scenario in this batch is eligible "
-                "for stacked execution; per-scenario reasons:\n"
-                + "\n".join(lines))
+    # partition: scenarios the stacked engine runs execute as ONE stacked
+    # array program in the parent; everything else takes the per-scenario
+    # serial/pool path
+    stacked = [i for i, stacks in zip(
+        pending, _stacks(scenarios[i] for i in pending)) if stacks]
 
     bound_root = str(store.root) if store is not None else None
     bound_write = mode == "readwrite"
     with _bound_io(store, mode, bound_method):
-        computed = _BOUND_IO[4]
         if stacked:
             for i, report in zip(
                     stacked,
@@ -701,13 +651,12 @@ def run_batch(scenarios, workers: int | None = None, *,
                     [([scenarios[i] for i in chunk], compute_bound,
                       bound_root, bound_write, bound_method)
                      for chunk in chunks])
-                for chunk, (reports, bound_stats, solved) in zip(
-                        chunks, chunk_results):
+                for chunk, (reports, bound_stats) in zip(chunks,
+                                                         chunk_results):
                     for i, report in zip(chunk, reports):
                         results[i] = report
                     if store is not None:
                         store.stats.add(bound_stats)
-                        computed += solved
 
     for first, copies in duplicates.items():
         for i in copies:
@@ -718,22 +667,7 @@ def run_batch(scenarios, workers: int | None = None, *,
         if mode == "readwrite":
             for i in pending:
                 store.store(results[i])
-                events[i][2] = 1
-        if compute_bound:
-            # every executed position had one bound event.  An instance's
-            # solved bounds are charged to its first executed positions in
-            # batch order, the rest are hits: so a slice counts what it
-            # would have counted run alone after the slices before it
-            # (with readwrite), whichever path happened to run first
-            owed = Counter(computed)
-            for i in pending:
-                scenario = scenarios[i]
-                key = (bound_method, scenario.seed, scenario.instance_key())
-                missed = owed[key] > 0
-                owed[key] -= missed
-                events[i][4 + missed] = 1
         batch.cache_stats = store.flush_stats()
-        batch._events = events
     return batch
 
 

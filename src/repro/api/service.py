@@ -1,30 +1,25 @@
 """Worker loop for the pull-based sweep queue (:mod:`repro.api.queue`).
 
 A :class:`QueueWorker` is the process that ``repro work`` runs: an
-idle-loop around ``sweep expired leases -> claim chunks -> execute them
-via run_batch -> write each chunk's result``.  While every scenario it
-holds runs on the stacked engine, a worker claims more chunks, up to
-:data:`HOLD_SCENARIOS` scenarios, and runs them as one ``run_batch``, so
-the stacked engine sees one stack per hold, not one per chunk; chunks
-that run per scenario are held one at a time, so several workers share
-them.  The chunk stays the unit of claims, heartbeats, requeue and
-results, and each chunk's result file carries its own slice of the
-reports and of the cache accounting.  Workers are
-fully symmetric -- no coordinator process exists; any worker sweeps
-expired leases before claiming, so a dead worker's chunks are requeued
-by whichever survivor looks next.
+idle-loop around ``sweep expired leases -> claim a chunk -> execute via
+run_batch -> write the result``.  Each chunk is one ``run_batch`` call,
+so a chunk of stacked scenarios is one stack, and its result footer is
+that call's cache accounting; :meth:`~repro.api.queue.WorkQueue.create`
+sizes the chunks for the engine they run on.  Workers are fully
+symmetric -- no coordinator process exists; any worker sweeps expired
+leases before claiming, so a dead worker's chunks are requeued by
+whichever survivor looks next.
 
 Everything timing-shaped is injectable (``clock``, ``sleep``,
 ``heartbeat_interval=0`` disables the background heartbeat thread), so
 tests drive workers step-by-step against a fake clock and the chaos
 suite can interleave two workers' claims deterministically.  Crash
 injection is first-class: ``crash_after=k`` makes the worker execute
-the first ``k`` scenarios of its next hold (caching their reports --
-real partial progress) and then die, either by raising
-:class:`WorkerCrash` (in-process tests) or ``os._exit`` (the CLI's
-``REPRO_QUEUE_CRASH_AFTER`` knob, used by the CI chaos job), leaving
-exactly the wreckage a kill -9 would: claimed chunk files whose mtimes
-stop advancing, no result files.
+``k`` scenarios of its next chunk (caching their reports -- real partial
+progress) and then die, either by raising :class:`WorkerCrash`
+(in-process tests) or ``os._exit`` (the CLI's ``REPRO_QUEUE_CRASH_AFTER``
+knob, used by the CI chaos job), leaving exactly the wreckage a kill -9
+would: a claimed chunk file whose mtime stops advancing, no result file.
 """
 
 from __future__ import annotations
@@ -40,31 +35,6 @@ from repro.api.queue import (
     default_worker_id,
 )
 from repro.api.spec import Scenario
-
-#: scenarios one worker holds on the stacked engine: while every scenario
-#: it holds stacks, :meth:`QueueWorker.step` claims chunks until it holds
-#: at least this many (or nothing is pending) and runs them as one
-#: stacked batch.  On one ``queue_sweep`` round (1000 small grids, cache
-#: off) ``run_batch`` took 1.27-1.45 s in stacks of 8, 0.78-0.90 s in 16,
-#: 0.50-0.56 s in 32, 0.40-0.43 s in 64 and 0.27 s in 250: 64 takes most
-#: of the gain.  Unlike 64-scenario chunks, a hold stacks whatever
-#: ``--chunk-size`` a sweep was enqueued with, and leaves per-scenario
-#: queues (``bench_frontier``'s under ``REPRO_QUEUE``) small chunks that
-#: several workers share.
-HOLD_SCENARIOS = 64
-
-
-def _stacks(scenario: Scenario, memo: dict) -> bool:
-    """Whether ``run_batch`` runs ``scenario`` on the stacked engine;
-    ``memo`` keeps the answer per engine and algorithm for one step."""
-    from repro.api.run import _batch_reason
-    from repro.network.engine import resolve_engine_name
-
-    key = (scenario.engine, scenario.algorithm)
-    if key not in memo:
-        memo[key] = resolve_engine_name(scenario.engine) == "batch" \
-            and _batch_reason(scenario) is None
-    return memo[key]
 
 
 class WorkerCrash(RuntimeError):
@@ -114,80 +84,57 @@ class QueueWorker:
 
     # -- one scheduling round --------------------------------------------
 
-    def step(self, max_chunks: int | None = None) -> str:
-        """One round: sweep expired leases, then claim chunks and execute
-        them.  The worker claims one chunk, and more while every scenario
-        it holds runs on the stacked engine, until it holds
-        :data:`HOLD_SCENARIOS` scenarios, ``max_chunks`` chunks, or
-        everything pending.  Returns
-        ``"ran"`` (chunks were executed), ``"wait"`` (nothing claimable
-        right now -- some chunks are leased out), or ``"drained"`` (every
-        chunk has a result)."""
+    def step(self) -> str:
+        """One round: sweep expired leases, then claim-and-execute one
+        chunk.  Returns ``"ran"`` (a chunk was executed), ``"wait"``
+        (nothing claimable right now -- some chunks are leased out), or
+        ``"drained"`` (every chunk has a result)."""
         for chunk in self.queue.requeue_expired(self.ttl, clock=self.clock):
             self.log(f"worker {self.worker_id}: requeued {chunk} "
                      "(lease expired)")
-        held: list = []  # (manifest, its scenarios) per claimed chunk
-        try:
-            size, memo = 0, {}
-            while max_chunks is None or len(held) < max_chunks:
-                manifest = self.queue.claim(self.worker_id, clock=self.clock)
-                if manifest is None:
-                    break
-                scenarios = [Scenario.from_dict(item["scenario"])
-                             for item in manifest["scenarios"]]
-                held.append((manifest, scenarios))
-                size += len(scenarios)
-                if size >= HOLD_SCENARIOS \
-                        or not all(_stacks(s, memo) for s in scenarios):
-                    break
-        except BaseException:
-            self._release([_chunk_name(m["shard_index"]) for m, _ in held])
-            raise
-        if not held:
+        manifest = self.queue.claim(self.worker_id, clock=self.clock)
+        if manifest is None:
             return "drained" if self.queue.is_drained() else "wait"
-        self.execute(held)
+        self.execute(manifest)
         return "ran"
 
     def run(self, max_chunks: int | None = None) -> int:
         """Loop :meth:`step` until the queue drains (or ``max_chunks``
-        chunks were executed by *this* worker); returns that count.  Each
-        step claims at most the chunks left in the budget.  ``"wait"``
-        rounds sleep ``poll`` seconds -- the idle wait also paces the
-        expired-lease sweep that rescues crashed workers' chunks."""
-        start = self.chunks_done
-        while max_chunks is None or self.chunks_done - start < max_chunks:
-            outcome = self.step(None if max_chunks is None
-                                else max_chunks - (self.chunks_done - start))
-            if outcome == "drained":
+        chunks were executed by *this* worker); returns that count.
+        ``"wait"`` rounds sleep ``poll`` seconds -- the idle wait also
+        paces the expired-lease sweep that rescues crashed workers'
+        chunks."""
+        ran = 0
+        while max_chunks is None or ran < max_chunks:
+            outcome = self.step()
+            if outcome == "ran":
+                ran += 1
+            elif outcome == "drained":
                 break
-            if outcome == "wait":
+            else:
                 self.sleep(self.poll)
-        return self.chunks_done - start
+        return ran
 
     # -- chunk execution -------------------------------------------------
 
-    def execute(self, held) -> None:
-        """Execute held ``(manifest, scenarios)`` chunks as one
-        ``run_batch`` and record each one's result: its own slice of the
-        reports and of the cache accounting
-        (:meth:`~repro.api.run.BatchResult.split`).
+    def execute(self, manifest: dict) -> None:
+        """Execute one claimed chunk and record its result.
 
-        The heartbeat thread (when enabled) refreshes every held lease on
-        a real-time cadence while ``run_batch`` computes.  On any
-        execution error every held chunk without a result yet is released
-        back to ``pending`` before the error propagates -- an unlucky
-        worker never strands a chunk for a full TTL, and a
-        deterministically broken chunk fails loudly on every worker
-        instead of disappearing.
+        The heartbeat thread (when enabled) refreshes the lease on a
+        real-time cadence while ``run_batch`` computes.  On any
+        execution error the chunk is released back to ``pending`` before
+        the error propagates -- an unlucky worker never strands a chunk
+        for a full TTL, and a deterministically broken chunk fails
+        loudly on every worker instead of disappearing.
         """
         from repro.api.run import run_batch
 
-        chunks = [_chunk_name(m["shard_index"]) for m, _ in held]
-        scenarios = [s for _, part in held for s in part]
-        self.log(f"worker {self.worker_id}: claimed {', '.join(chunks)} "
+        chunk = _chunk_name(manifest["shard_index"])
+        scenarios = [Scenario.from_dict(item["scenario"])
+                     for item in manifest["scenarios"]]
+        self.log(f"worker {self.worker_id}: claimed {chunk} "
                  f"({len(scenarios)} scenario(s))")
-        stop = self._start_heartbeat(*chunks)
-        done = 0
+        stop = self._start_heartbeat(chunk)
         try:
             if self.crash_after is not None:
                 self._crash(scenarios)
@@ -195,31 +142,22 @@ class QueueWorker:
                                 cache=self.cache, cache_dir=self.cache_dir,
                                 compute_bound=self.compute_bound,
                                 bound_method=self.bound_method)
-            parts = reports.split(len(part) for _, part in held)
-            for (manifest, _), part in zip(held, parts):
-                self.queue.complete(manifest, part, self.worker_id)
-                self.log(f"worker {self.worker_id}: completed {chunks[done]}")
-                done += 1
-                self.chunks_done += 1
+            self.queue.complete(manifest, reports, self.worker_id)
+            self.chunks_done += 1
+            self.log(f"worker {self.worker_id}: completed {chunk}")
         except WorkerCrash:
-            raise  # leave the claims behind to go stale, like a kill
+            raise  # leave the claim behind to go stale, like a kill
         except BaseException:
-            self._release(chunks[done:])
+            self.queue.release(chunk, self.worker_id)
+            self.log(f"worker {self.worker_id}: released {chunk} after error")
             raise
         finally:
             if stop is not None:
                 stop.set()
 
-    def _release(self, chunks) -> None:
-        for chunk in chunks:
-            self.queue.release(chunk, self.worker_id)
-        if chunks:
-            self.log(f"worker {self.worker_id}: released {', '.join(chunks)} "
-                     "after error")
-
     def _crash(self, scenarios) -> None:
-        """Run the first ``crash_after`` held scenarios (their reports land
-        in the cache -- genuine partial progress), then die mid-hold."""
+        """Run the first ``crash_after`` scenarios (their reports land in
+        the cache -- genuine partial progress), then die mid-chunk."""
         from repro.api.run import run_batch
 
         count = max(0, int(self.crash_after))
@@ -236,31 +174,26 @@ class QueueWorker:
         raise WorkerCrash(
             f"worker {self.worker_id} crashed after {count} scenario(s)")
 
-    def _start_heartbeat(self, *chunks):
-        """Start one thread that stamps every held claim each interval; it
-        drops a chunk once that claim is lost and exits when none is left.
-        Returns the thread's stop event (``None`` when disabled)."""
+    def _start_heartbeat(self, chunk: str):
         if self.heartbeat_interval <= 0:
             return None
         stop = threading.Event()
-        held = list(chunks)
 
         def beat():
-            while held and not stop.wait(self.heartbeat_interval):
-                for chunk in list(held):
-                    try:
-                        owned = self.queue.heartbeat(chunk, self.worker_id,
-                                                     clock=self.clock)
-                    except OSError:
-                        continue  # disk hiccup: the lease ages one interval
-                    if not owned:
-                        # completed, or requeued (false expiry) and possibly
-                        # reclaimed by another worker -- this execution holds
-                        # it no longer, so stop stamping it for good
-                        held.remove(chunk)
+            while not stop.wait(self.heartbeat_interval):
+                try:
+                    owned = self.queue.heartbeat(chunk, self.worker_id,
+                                                 clock=self.clock)
+                except OSError:
+                    continue  # disk hiccup: the lease ages one interval
+                if not owned:
+                    # completed, or requeued (false expiry) and possibly
+                    # reclaimed by another worker -- this execution holds
+                    # it no longer, so stand down for good
+                    break
 
         thread = threading.Thread(
-            target=beat, name=f"heartbeat-{chunks[0]}", daemon=True)
+            target=beat, name=f"heartbeat-{chunk}", daemon=True)
         thread.start()
         self._heartbeat_thread = thread
         return stop

@@ -49,7 +49,11 @@ from repro.api import (
     unavailable_reason,
     workload_names,
 )
-from repro.api.queue import DEFAULT_CHUNK_SIZE, DEFAULT_TTL
+from repro.api.queue import (
+    DEFAULT_CHUNK_SIZE,
+    DEFAULT_TTL,
+    STACKED_CHUNK_SIZE,
+)
 from repro.baselines import offline
 
 #: single source of truth for the common flag defaults (build_parser and
@@ -713,9 +717,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fresh queue directory (shared between workers, "
                    "e.g. on a network filesystem)")
     p.add_argument("--spec", required=True, help="JSON scenario spec file")
-    p.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE,
-                   help="scenarios per chunk (default %(default)s): the unit "
-                   "of leasing, crash loss, and rebalancing")
+    p.add_argument("--chunk-size", type=int, default=None,
+                   help="scenarios per chunk: the unit of leasing, crash "
+                   f"loss, and rebalancing (default {STACKED_CHUNK_SIZE} "
+                   "when every scenario runs on the stacked engine, as "
+                   "--engine or REPRO_ENGINE here resolves it, else "
+                   f"{DEFAULT_CHUNK_SIZE})")
     p.add_argument("--engine", **engine_kwargs)
     p.set_defaults(fn=cmd_enqueue)
 
@@ -735,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit after executing this many chunks (default: "
                    "run until the queue drains)")
     p.add_argument("--workers", type=int, default=None,
-                   help="process-pool width inside each held batch")
+                   help="process-pool width inside each chunk")
     p.add_argument("--cache", **cache_kwargs)
     p.add_argument("--bound", **bound_kwargs)
     p.set_defaults(fn=cmd_work)

@@ -6,6 +6,9 @@ selected with ``HYPOTHESIS_PROFILE=ci``, as the CI workflow does -- pins
 ``derandomize=True`` and ``deadline=None`` so fuzz runs are deterministic
 and never flake on shared-runner timing; the default ``dev`` profile
 keeps random exploration for local runs.
+
+An autouse fixture clears ``REPRO_ENGINE``, so the suite's results do
+not depend on the engine a developer's shell selects.
 """
 
 from __future__ import annotations
@@ -25,6 +28,13 @@ else:
     _hyp_settings.register_profile(
         "ci", deadline=None, derandomize=True, print_blob=True)
     _hyp_settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
+
+
+@pytest.fixture(autouse=True)
+def _default_engine(monkeypatch):
+    """Run every test on the default engine whatever ``REPRO_ENGINE`` the
+    shell exports; a test that needs the variable sets it itself."""
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
 
 
 @pytest.fixture

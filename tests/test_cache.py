@@ -276,40 +276,26 @@ class TestBoundStats:
                       cache_dir=tmp_path / "b")
         assert vars(a.cache_stats) == vars(b.cache_stats)
 
-    def test_split_slices_the_accounting_per_position(self, tmp_path):
-        """``BatchResult.split`` gives each slice the events of its own
-        positions: the slices sum to the batch's stats, and the serial,
-        pooled and stacked paths charge every event to the same position
-        (an instance's solved bound to its first executed position)."""
+    def test_serial_pooled_and_stacked_count_alike(self, tmp_path):
+        """The serial, pooled and stacked paths give one batch the same
+        ``cache_stats`` over a partly warmed directory: one report hit,
+        and one bound miss per instance solved, the rest bound hits."""
         batch = [scenario(seed=s, algorithm=a)
                  for a in ("greedy", "ntg") for s in range(3)]
-        per_path = []
+        stats = []
         for path, workers in (("serial", None), ("pooled", 2),
                               ("stacked", None)):
             root = tmp_path / path
             run_batch(batch[:1], cache="readwrite", cache_dir=root)  # warm
             scenarios = [s.replace(engine="batch") if path == "stacked"
                          else s for s in batch]
-            result = run_batch(scenarios, workers=workers,
-                               cache="readwrite", cache_dir=root)
-            slices = result.split([1] * len(batch))
-            assert [list(part) for part in slices] == [[r] for r in result]
-            events = [vars(part.cache_stats) for part in slices]
-            assert {key: sum(e[key] for e in events) for key in events[0]} \
-                == vars(result.cache_stats)
-            per_path.append(events)
-        assert per_path[0] == per_path[1] == per_path[2]
-        assert [(e["hits"], e["bound_hits"], e["bound_misses"])
-                for e in per_path[0]] == [
-            (1, 0, 0), (0, 0, 1), (0, 0, 1), (0, 1, 0), (0, 1, 0), (0, 1, 0)]
-
-    def test_split_without_cache_and_bad_sizes(self):
-        result = run_batch([scenario(seed=s) for s in range(3)], cache="off")
-        parts = result.split([2, 0, 1])
-        assert [len(part) for part in parts] == [2, 0, 1]
-        assert all(part.cache_stats is None for part in parts)
-        with pytest.raises(ValueError, match="do not cover 3 reports"):
-            result.split([2, 2])
+            stats.append(vars(run_batch(scenarios, workers=workers,
+                                        cache="readwrite",
+                                        cache_dir=root).cache_stats))
+        assert stats[0] == stats[1] == stats[2]
+        assert (stats[0]["hits"], stats[0]["misses"], stats[0]["stores"],
+                stats[0]["bound_hits"], stats[0]["bound_misses"]) \
+            == (1, 5, 5, 3, 2)
 
     def test_summary_includes_bound_fields(self, tmp_path):
         batch = run_batch([scenario()], cache="readwrite",

@@ -514,14 +514,30 @@ class TestQueueCommands:
         assert main(["work", str(tmp_path)]) == 2
         assert "REPRO_QUEUE_CRASH_AFTER" in capsys.readouterr().err
 
-    def test_queue_defaults_are_the_module_constants(self):
-        from repro.api.queue import DEFAULT_CHUNK_SIZE, DEFAULT_TTL
+    def test_queue_defaults_are_the_module_constants(self, tmp_path,
+                                                     capsys):
+        """``enqueue`` passes no chunk size by default, so ``create``
+        picks one of the two constants from the engine."""
+        from repro.api.queue import (
+            DEFAULT_CHUNK_SIZE,
+            DEFAULT_TTL,
+            STACKED_CHUNK_SIZE,
+        )
 
         parser = build_parser()
         assert parser.parse_args(["enqueue", "q", "--spec", "s.json"]) \
-            .chunk_size == DEFAULT_CHUNK_SIZE
+            .chunk_size is None
         assert parser.parse_args(["work", "q"]).ttl == DEFAULT_TTL
         assert parser.parse_args(["status", "q"]).ttl == DEFAULT_TTL
+        spec = self._queue_spec(tmp_path)
+        for engine, size in (("fast", DEFAULT_CHUNK_SIZE),
+                             ("batch", STACKED_CHUNK_SIZE)):
+            queue_dir = tmp_path / engine
+            assert main(["enqueue", str(queue_dir), "--spec", str(spec),
+                         "--engine", engine]) == 0
+            assert "4 scenario(s) as 1 chunk(s)" in capsys.readouterr().out
+            header = json.loads((queue_dir / "queue.json").read_text())
+            assert header["chunk_size"] == size
 
     def test_work_rejects_worker_id_with_separator(self, tmp_path, capsys):
         spec = self._queue_spec(tmp_path)

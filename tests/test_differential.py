@@ -48,7 +48,6 @@ from repro.api import (
     run_batch,
     unavailable_reason,
 )
-from repro.api.run import _batch_reason
 from repro.network import kernel
 from test_kernel import oracle_admit, oracle_rank
 
@@ -168,12 +167,9 @@ def test_engines_bit_identical(scenario):
     ref = run(scenario.replace(engine="reference"))
     fast = run(scenario.replace(engine="fast"))
     assert_reports_identical(ref, fast, "reference vs fast")
-    # an explicit all-ineligible batch is the clean-error path (pinned in
-    # tests/test_fast_batch_engine.py), so only stack scenarios the batch
-    # program can express
-    if _batch_reason(scenario) is None:
-        stacked = run_batch([scenario.replace(engine="batch")])[0]
-        assert_reports_identical(ref, stacked, "reference vs batch")
+    # an explicit batch stacks what it can and runs the rest per scenario
+    stacked = run_batch([scenario.replace(engine="batch")])[0]
+    assert_reports_identical(ref, stacked, "reference vs batch")
     # and both agree with the digest contract: engine never enters it
     assert scenario.replace(engine="reference").digest() \
         == scenario.replace(engine="fast").digest()
@@ -231,16 +227,13 @@ def test_kernel_dimension_bit_identical(scenario):
     sort; and a run labelled with an array engine really went through
     the kernel -- no silent fallback to the reference engine."""
     hypothesis.assume(runnable(scenario))
-    stackable = _batch_reason(scenario) is None
     ref = run(scenario.replace(engine="reference"))
     with oracle_kernel() as calls:
         fast = run(scenario.replace(engine="fast"))
-        stacked = run_batch([scenario.replace(engine="batch")])[0] \
-            if stackable else None
+        stacked = run_batch([scenario.replace(engine="batch")])[0]
     assert_reports_identical(ref, fast, "reference vs fast [oracle kernel]")
-    if stackable:
-        assert_reports_identical(ref, stacked,
-                                 "reference vs batch [oracle kernel]")
+    assert_reports_identical(ref, stacked,
+                             "reference vs batch [oracle kernel]")
     if fast.engine != "reference":
         assert calls, f"{fast.engine} run never called the kernel"
 
@@ -258,12 +251,9 @@ def test_packed_sort_bit_identical(scenario):
     ref = run(scenario.replace(engine="reference"))
     with mock.patch.object(kernel, "PACKED_SORT_ROWS", 0):
         fast = run(scenario.replace(engine="fast"))
-        stacked = run_batch([scenario.replace(engine="batch")])[0] \
-            if _batch_reason(scenario) is None else None
+        stacked = run_batch([scenario.replace(engine="batch")])[0]
     assert_reports_identical(ref, fast, "reference vs fast [packed sort]")
-    if stacked is not None:
-        assert_reports_identical(ref, stacked,
-                                 "reference vs batch [packed sort]")
+    assert_reports_identical(ref, stacked, "reference vs batch [packed sort]")
 
 
 @st.composite
@@ -332,9 +322,9 @@ def batch_heterogeneous(draw):
     edd) interleaved with ineligible ones (planners, the edd adapter
     path), every scenario requesting ``engine="batch"``, plus injected
     duplicates -- so one batch exercises stacking, per-scenario fallback,
-    and duplicate collapse together.  At least one scenario is guaranteed
-    batch-eligible (an all-ineligible explicit batch is the clean-error
-    path, pinned separately in ``tests/test_fast_batch_engine.py``)."""
+    and duplicate collapse together.  An anchor scenario with a stackable
+    algorithm is drawn into every batch, so a batch stacks unless the
+    anchor cannot run on its network."""
     batch = draw(st.lists(scenarios(), min_size=1, max_size=5))
     anchor = draw(scenarios())
     anchor = anchor.replace(algorithm=draw(st.sampled_from((
@@ -359,7 +349,6 @@ def test_batch_engine_bit_identical(batch):
     reference runs bit-for-bit, including meta."""
     batch = [s for s in batch if runnable(s)]
     hypothesis.assume(len(batch) >= 2)
-    hypothesis.assume(any(_batch_reason(s) is None for s in batch))
     stacked = run_batch(batch, workers=1)
     for scenario, report in zip(batch, stacked):
         solo = run(scenario.replace(engine="reference"))
@@ -376,7 +365,6 @@ def test_batch_engine_cache_stats_identical(batch, tmp_path_factory):
     scenario -- stacking must not change what is cached or counted."""
     batch = [s for s in batch if runnable(s)]
     hypothesis.assume(len(batch) >= 2)
-    hypothesis.assume(any(_batch_reason(s) is None for s in batch))
     plain = [s.replace(engine=None) for s in batch]
     d1 = tmp_path_factory.mktemp("batch-cache")
     d2 = tmp_path_factory.mktemp("plain-cache")

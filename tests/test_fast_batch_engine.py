@@ -9,10 +9,10 @@ grid shapes, buffer/capacity settings, policy families, and horizons,
 and regardless of which other jobs share the stack.
 
 The run-level tests pin the integration seams: eligibility partitioning
-in ``run_batch``, the clean capability error for explicitly
-``engine="batch"`` batches with nothing to stack, the warmed-cache
-short-circuit (no stacked execution at all), and the on-disk
-offline-bound tier shared across algorithms.
+in ``run_batch`` (an explicit ``engine="batch"`` batch with nothing to
+stack runs per scenario, so every shard of a batch runs), the
+warmed-cache short-circuit (no stacked execution at all), and the
+on-disk offline-bound tier shared across algorithms.
 
 Two tests pin the loop's cheaper tick at the sizes that use it: a
 congested 24x24 instance whose ticks rank more than
@@ -32,9 +32,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import NetworkSpec, Scenario, WorkloadSpec, run_batch
+from repro.api import (
+    NetworkSpec,
+    Scenario,
+    WorkloadSpec,
+    merge,
+    plan_shards,
+    run,
+    run_batch,
+    run_shard,
+)
 from repro.api.registry import ALGORITHMS
-from repro.api.run import ScenarioError, _batch_reason
+from repro.api.run import _batch_reason
 from repro.baselines.edd import EarliestDeadlinePolicy
 from repro.baselines.greedy import GreedyPolicy
 from repro.baselines.nearest_to_go import NearestToGoPolicy
@@ -528,13 +537,41 @@ class TestRunBatchIntegration:
         assert replay.cache_stats.hits == len(batch)
         assert list(replay) == list(warm)
 
-    def test_explicit_batch_all_ineligible_raises(self):
+    def test_explicit_batch_all_ineligible_runs_per_scenario(self):
+        """An explicit ``batch`` engine stacks what can stack and runs the
+        rest per scenario, also when nothing in the batch can stack: the
+        reports are the serial ``run`` reports, which run on ``fast``."""
         det = Scenario(
             network=NetworkSpec("grid", (5, 5), 3, 3),
             workload=WorkloadSpec("uniform", {"num": 10, "horizon": 8}),
             algorithm="det", horizon=20, seed=0, engine="batch")
-        with pytest.raises(ScenarioError, match="no scenario in this batch"):
-            run_batch([det])
+        batch = [det.replace(seed=s) for s in range(3)]
+        reports = run_batch(batch)
+        assert [r.engine for r in reports] == ["fast"] * 3
+        assert list(reports) == [run(s) for s in batch]
+
+    @pytest.mark.parametrize("n_shards", [2, 4, 8])
+    def test_every_shard_of_an_explicit_batch_runs(self, tmp_path,
+                                                   n_shards):
+        """Whether a scenario runs never depends on how its batch is cut:
+        every shard of 4 seeds x (``det``, ``ntg``) under an explicit
+        ``batch`` engine runs, the ``det``-only shards included, and the
+        shards merge equal to the serial batch."""
+        det = Scenario(
+            network=NetworkSpec("grid", (5, 5), 3, 3),
+            workload=WorkloadSpec("uniform", {"num": 10, "horizon": 8}),
+            algorithm="det", horizon=20, seed=0, engine="batch")
+        batch = [det.replace(seed=s, algorithm=a)
+                 for s in range(4) for a in ("det", "ntg")]
+        serial = run_batch(batch)
+        manifests = plan_shards(batch, n_shards)
+        algorithms = [{item["scenario"]["algorithm"]["name"]
+                       for item in m["scenarios"]} for m in manifests]
+        assert {"det"} in algorithms  # a shard with nothing to stack
+        for manifest in manifests:
+            out = tmp_path / f"shard_{manifest['shard_index']}.jsonl"
+            run_shard(manifest, out, cache="off")
+        assert list(merge(tmp_path)) == list(serial)
 
     def test_explicit_batch_mixed_batch_falls_back(self):
         det = Scenario(

@@ -18,11 +18,8 @@ Everything timing-shaped runs against a fake clock and inline sleeps
 from __future__ import annotations
 
 import json
-import os
 import sys
 import tempfile
-import threading
-import time
 from unittest import mock
 
 import pytest
@@ -37,8 +34,13 @@ from repro.api import (
     WorkloadSpec,
     run_batch,
 )
-from repro.api import service
-from repro.api.queue import QUEUE_SCHEMA, WorkQueue
+from repro.api import queue as queue_module
+from repro.api.queue import (
+    DEFAULT_CHUNK_SIZE,
+    QUEUE_SCHEMA,
+    STACKED_CHUNK_SIZE,
+    WorkQueue,
+)
 from repro.api.run import RunReport
 from repro.api.service import QueueWorker, WorkerCrash
 
@@ -576,34 +578,39 @@ def test_chaos_histories_collect_serial(seeds, chunk_size, schedule,
                                  HealthCheck.data_too_large])
 @given(
     seeds=st.lists(st.integers(0, 6), min_size=1, max_size=6, unique=True),
-    chunk_size=st.integers(1, 4),
-    hold=st.integers(1, 12),
+    stacked_size=st.integers(1, 4),
+    default_size=st.integers(1, 4),
     stacked=st.lists(st.booleans(), min_size=12, max_size=12),
     schedule=st.lists(st.integers(0, 2), min_size=1, max_size=40),
     crash_at=st.integers(0, 5),
     crash_progress=st.integers(0, 3),
 )
-def test_chaos_histories_with_holds_collect_serial(
-        seeds, chunk_size, hold, stacked, schedule, crash_at,
+def test_chaos_histories_with_chosen_chunk_sizes_collect_serial(
+        seeds, stacked_size, default_size, stacked, schedule, crash_at,
         crash_progress):
-    """The chaos history above with the hold drawn too (1-12 scenarios)
-    and each scenario on the stacked engine or not: holds of one chunk
-    keep single-chunk interleavings fuzzed, larger ones let a crash
-    strand several claims and a requeue split a hold across workers, and
-    a chunk that runs per scenario ends a hold -- and the collected batch
-    still equals the serial ``run_batch`` report-for-report, including
-    ``meta``."""
+    """The chaos history above, enqueued with no chunk size: each
+    scenario is drawn on the stacked engine or not, and the two sizes
+    ``WorkQueue.create`` chooses between are drawn too (1-4 scenarios),
+    so all-stacked batches are cut by one and mixed batches by the other
+    -- and the collected batch still equals the serial ``run_batch``
+    report-for-report, including ``meta``."""
     batch = [scenario(seed=s, algorithm=a,
                       engine="batch" if stacked[2 * i + j] else None)
              for i, s in enumerate(seeds)
              for j, a in enumerate(("ntg", "greedy"))]
     serial = run_batch(batch, cache="off")
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(service, "HOLD_SCENARIOS", hold):
+            mock.patch.object(queue_module, "STACKED_CHUNK_SIZE",
+                              stacked_size), \
+            mock.patch.object(queue_module, "DEFAULT_CHUNK_SIZE",
+                              default_size):
         import pathlib
 
         root = pathlib.Path(tmp)
-        queue = WorkQueue.create(root / "q", batch, chunk_size=chunk_size)
+        queue = WorkQueue.create(root / "q", batch)
+        assert queue.header()["chunk_size"] == (
+            stacked_size if all(s.engine == "batch" for s in batch)
+            else default_size)
         clock = FakeClock()
         cache_dir = root / "cache"
         workers = [make_worker(queue, f"w{i}", clock, cache_dir=cache_dir,
@@ -632,6 +639,72 @@ def test_chaos_histories_with_holds_collect_serial(
     assert merged.cache_stats.lookups >= len(batch)
 
 
+EDD_ADAPTER = {"name": "edd", "params": {"adapter": True}}
+
+
+class TestChunkSizing:
+    """Without a chunk size, ``WorkQueue.create`` cuts a batch whose every
+    scenario runs on the stacked engine into ``STACKED_CHUNK_SIZE``
+    chunks, and any other batch into ``DEFAULT_CHUNK_SIZE`` chunks."""
+
+    @staticmethod
+    def chunk_size(root, batch, **kwargs) -> int:
+        return WorkQueue.create(root, batch, **kwargs).header()["chunk_size"]
+
+    def test_all_stacked_batch_gets_stacked_chunks(self, tmp_path,
+                                                   monkeypatch):
+        assert self.chunk_size(tmp_path / "explicit",
+                               small_batch(engine="batch")) \
+            == STACKED_CHUNK_SIZE == 64
+        monkeypatch.setenv("REPRO_ENGINE", "batch")
+        queue = WorkQueue.create(tmp_path / "env", small_batch())
+        assert queue.header()["chunk_size"] == STACKED_CHUNK_SIZE
+        assert queue.header()["n_chunks"] == 1
+
+    @pytest.mark.parametrize("odd", [
+        scenario(seed=9, algorithm="greedy"),
+        scenario(seed=9, algorithm="greedy", engine="reference"),
+        scenario(seed=9, algorithm="greedy", engine="fast"),
+        scenario(seed=9, algorithm="det", engine="batch"),
+        scenario(seed=9, algorithm=EDD_ADAPTER, engine="batch"),
+    ], ids=["default", "reference", "fast", "det-batch", "edd-adapter-batch"])
+    def test_any_per_scenario_scenario_gets_default_chunks(self, tmp_path,
+                                                           odd):
+        batch = small_batch(engine="batch") + [odd]
+        assert self.chunk_size(tmp_path / "q", batch) \
+            == DEFAULT_CHUNK_SIZE == 8
+
+    def test_explicit_chunk_size_wins(self, tmp_path):
+        assert self.chunk_size(tmp_path / "stacked",
+                               small_batch(engine="batch"), chunk_size=2) == 2
+        queue = WorkQueue.create(tmp_path / "plain", small_batch(),
+                                 chunk_size=100)
+        assert queue.header()["chunk_size"] == 100
+        assert queue.header()["n_chunks"] == 1
+
+    def test_batch_reason_runs_once_per_engine_and_algorithm(
+            self, tmp_path, monkeypatch):
+        """The predicate is memoized per (engine, algorithm) pair: 12
+        scenarios over two engines that both resolve to ``batch`` and two
+        algorithms ask ``_batch_reason`` four times."""
+        run_module = sys.modules["repro.api.run"]
+        asked = []
+        original = run_module._batch_reason
+
+        def counting(one):
+            asked.append((one.engine, one.algorithm.name))
+            return original(one)
+
+        monkeypatch.setattr(run_module, "_batch_reason", counting)
+        monkeypatch.setenv("REPRO_ENGINE", "batch")
+        batch = small_batch(engine="batch") \
+            + [s.replace(seed=s.seed + 3) for s in small_batch()]
+        assert self.chunk_size(tmp_path / "q", batch) == STACKED_CHUNK_SIZE
+        assert len(asked) == 4
+        assert set(asked) == {("batch", "ntg"), ("batch", "greedy"),
+                              (None, "ntg"), (None, "greedy")}
+
+
 def result_files(queue) -> dict:
     """Each chunk's result file as ``(header, [(index, digest, report)],
     footer)``, wall-clock fields compared away by ``RunReport`` equality."""
@@ -644,160 +717,40 @@ def result_files(queue) -> dict:
     return files
 
 
-class TestHold:
-    """While everything it holds runs on the stacked engine, a worker
-    claims chunks until it holds ``HOLD_SCENARIOS`` scenarios and runs
-    them as one ``run_batch``; the chunk stays the unit of claims,
-    heartbeats, release and results."""
+class TestOneChunkPerStep:
+    """A worker runs each chunk it claims as one ``run_batch``: a stacked
+    chunk is one stacked execution, and its result footer is that call's
+    cache accounting."""
 
-    @staticmethod
-    def drained_files(root, batch, hold, cache, monkeypatch) -> dict:
-        """Drain ``batch`` (chunks of 2) with one worker holding ``hold``
-        scenarios; returns its result files (see :func:`result_files`)
-        and the number of steps that ran chunks.
-
-        With the cache on, the directory is first warmed with the first
-        scenario, and one more entry is corrupted, so the footers see
-        report hits, misses, stores and an invalid entry, and bound hits
-        from disk, from the memo and bound misses."""
-        monkeypatch.setattr(service, "HOLD_SCENARIOS", hold)
-        cache_dir = None
-        if cache:
-            cache_dir = root / "cache"
-            run_batch(batch[:1], cache="readwrite", cache_dir=cache_dir)
-            from repro.api.cache import ResultCache
-
-            path = ResultCache(cache_dir).entry_path(batch[4])
-            path.write_text("{not json")
-        queue = WorkQueue.create(root / "q", batch, chunk_size=2)
-        worker = make_worker(queue, "w", FakeClock(), cache_dir=cache_dir)
-        steps = 0
-        while worker.step() == "ran":
-            steps += 1
-        assert queue.is_drained()
-        return result_files(queue), steps
-
-    @pytest.mark.parametrize("cache", [False, True], ids=["off", "readwrite"])
-    def test_each_chunk_matches_a_one_chunk_drain(self, tmp_path, monkeypatch,
-                                                  cache):
-        """The per-chunk pin: draining with the hold writes every chunk's
-        result file -- header, reports and each footer field, cache stats
-        included -- exactly as one-chunk-at-a-time steps do.  The batch
-        mixes stacked scenarios (``ntg``, ``greedy``) with one that runs
-        per scenario (``edd`` through the adapter) on shared instances
-        spread over several chunks, with the bound on."""
-        edd = {"name": "edd", "params": {"adapter": True}}
+    def test_chunk_footers_sum_the_cache_accounting(self, tmp_path):
+        """Chunks of 2 over stacked scenarios (``ntg``, ``greedy``) and
+        one that runs per scenario (``edd`` through the adapter) on shared
+        instances, with the bound on.  The directory is first warmed with
+        the first scenario and one more entry is corrupted, so the footers
+        see report hits, misses, stores and an invalid entry, and bound
+        hits from disk, from the memo and bound misses."""
         batch = [scenario(seed=s, algorithm=a,
-                          engine="fast" if a is edd else "batch")
-                 for s in range(4) for a in ("ntg", "greedy", edd)]
-        held, held_steps = self.drained_files(tmp_path / "held", batch, 64,
-                                              cache, monkeypatch)
-        single, single_steps = self.drained_files(tmp_path / "single", batch,
-                                                  1, cache, monkeypatch)
-        # a chunk with an edd scenario ends a hold: chunks 0, 1+2, 3+4+5
-        assert (held_steps, single_steps) == (3, 6)
-        assert held.keys() == single.keys() and len(held) == 6
-        for name in held:
-            assert held[name] == single[name], name
-        footers = [footer["cache_stats"] for _, _, footer in held.values()]
-        if not cache:
-            assert footers == [None] * 6
-            return
+                          engine="fast" if a is EDD_ADAPTER else "batch")
+                 for s in range(4) for a in ("ntg", "greedy", EDD_ADAPTER)]
+        cache_dir = tmp_path / "cache"
+        run_batch(batch[:1], cache="readwrite", cache_dir=cache_dir)
+        from repro.api.cache import ResultCache
+
+        ResultCache(cache_dir).entry_path(batch[4]).write_text("{not json")
+        queue = WorkQueue.create(tmp_path / "q", batch, chunk_size=2)
+        worker = make_worker(queue, "w", FakeClock(), cache_dir=cache_dir)
+        assert worker.run() == 6
+        files = result_files(queue)
+        assert len(files) == 6
+        footers = [footer["cache_stats"] for _, _, footer in files.values()]
         totals = {key: sum(f[key] for f in footers) for key in footers[0]}
         assert totals == {"hits": 1, "misses": 11, "stores": 11,
                           "invalid": 1, "bound_hits": 8, "bound_misses": 3}
         assert len({json.dumps(f, sort_keys=True) for f in footers}) > 1
-
-    def test_error_releases_every_held_chunk(self, tmp_path, monkeypatch):
-        queue = WorkQueue.create(tmp_path / "q", small_batch(engine="batch"),
-                                 chunk_size=2)
-        worker = make_worker(queue, "a", FakeClock())
-
-        def failing(*args, **kwargs):
-            assert claimed(queue) == ["chunk_00000.a.json",
-                                      "chunk_00001.a.json",
-                                      "chunk_00002.a.json"]
-            raise RuntimeError("engine exploded")
-
-        # repro.api re-exports run(), so the module comes from sys.modules
-        monkeypatch.setattr(sys.modules["repro.api.run"], "run_batch",
-                            failing)
-        with pytest.raises(RuntimeError, match="engine exploded"):
-            worker.step()
-        assert sorted(p.name for p in queue.pending_dir.iterdir()) == [
-            "chunk_00000.json", "chunk_00001.json", "chunk_00002.json"]
-        assert claimed(queue) == []
-
-    def test_error_after_a_completion_releases_the_rest(self, tmp_path,
-                                                        monkeypatch):
-        """A chunk whose result was written stays done; the held chunks
-        without a result go back to ``pending/``."""
-        queue = WorkQueue.create(tmp_path / "q", small_batch(engine="batch"),
-                                 chunk_size=2)
-        worker = make_worker(queue, "a", FakeClock())
-        complete = queue.complete
-
-        def full_disk_after_one(manifest, reports, owner):
-            if queue.done_chunks():
-                raise OSError(28, "No space left on device")
-            return complete(manifest, reports, owner)
-
-        monkeypatch.setattr(queue, "complete", full_disk_after_one)
-        with pytest.raises(OSError, match="No space left"):
-            worker.step()
-        assert queue.done_chunks() == ["chunk_00000"]
-        assert sorted(p.name for p in queue.pending_dir.iterdir()) == [
-            "chunk_00001.json", "chunk_00002.json"]
-        assert claimed(queue) == []
-        assert worker.chunks_done == 1
-
-    def test_one_heartbeat_thread_stamps_every_held_claim(self, tmp_path):
-        """One thread refreshes all held claims; after one claim is stolen
-        it keeps stamping the others and leaves the thief's alone."""
-        queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
-        clock = FakeClock()
-        names = [queue.claim("a", clock=clock) for _ in range(3)]
-        names = [f"chunk_{m['shard_index']:05d}" for m in names]
-        worker = make_worker(queue, "a", clock, heartbeat_interval=0.01)
-
-        def mtimes():
-            return {p.name: p.stat().st_mtime_ns
-                    for p in queue.claimed_dir.iterdir()}
-
-        def wait_for(expected):
-            deadline = time.monotonic() + 10
-            while mtimes() != expected and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert mtimes() == expected
-
-        before = set(threading.enumerate())
-        stop = worker._start_heartbeat(*names)
-        try:
-            started = set(threading.enumerate()) - before
-            assert [t.name for t in started] == ["heartbeat-chunk_00000"]
-            clock.advance(10)
-            wait_for({f"{name}.a.json": 10 * 10**9 for name in names})
-            # another worker takes chunk_00001 over
-            os.rename(queue.claimed_dir / "chunk_00001.a.json",
-                      queue.pending_dir / "chunk_00001.json")
-            assert queue.claim("b", clock=clock)["shard_index"] == 1
-            clock.advance(10)
-            wait_for({"chunk_00000.a.json": 20 * 10**9,
-                      "chunk_00001.b.json": 10 * 10**9,
-                      "chunk_00002.a.json": 20 * 10**9})
-            clock.advance(10)
-            wait_for({"chunk_00000.a.json": 30 * 10**9,
-                      "chunk_00001.b.json": 10 * 10**9,
-                      "chunk_00002.a.json": 30 * 10**9})
-            assert worker._heartbeat_thread.is_alive()
-        finally:
-            stop.set()
-            worker._heartbeat_thread.join(timeout=5.0)
-        assert not worker._heartbeat_thread.is_alive()
+        assert list(queue.collect()) == list(run_batch(batch, cache="off"))
 
     def test_run_budget_caps_the_claims(self, tmp_path, monkeypatch):
-        """``run(max_chunks)`` hands its remaining budget to the claim
-        loop: a worker never claims more chunks than it may run."""
+        """``run(max_chunks)`` claims no chunk beyond its budget."""
         queue = WorkQueue.create(tmp_path / "q", small_batch(engine="batch"),
                                  chunk_size=2)
         claims = []
@@ -819,95 +772,31 @@ class TestHold:
         assert claims == [0, 1, 2]
         assert worker.chunks_done == 3
 
-    def test_hold_stops_at_hold_scenarios(self, tmp_path, monkeypatch):
-        """Chunks of 2 under a hold of 3: a step claims two chunks (four
-        scenarios, the first count at or above the hold)."""
-        monkeypatch.setattr(service, "HOLD_SCENARIOS", 3)
-        queue = WorkQueue.create(tmp_path / "q", small_batch(engine="batch"),
-                                 chunk_size=2)
-        worker = make_worker(queue, "a", FakeClock())
-        assert worker.step() == "ran"
-        assert queue.done_chunks() == ["chunk_00000", "chunk_00001"]
-        assert worker.step() == "ran"
-        assert worker.step() == "drained"
-        assert worker.chunks_done == 3
-
-    def test_per_scenario_chunks_are_held_one_at_a_time(self, tmp_path,
-                                                        monkeypatch):
-        """A chunk that runs per scenario ends the hold, so such queues
-        keep one chunk per step for several workers to share; the engine
-        is resolved as ``run_batch`` resolves it, ``REPRO_ENGINE``
-        included."""
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        queue = WorkQueue.create(tmp_path / "q", small_batch(), chunk_size=2)
-        worker = make_worker(queue, "a", FakeClock())
-        assert worker.step() == "ran"
-        assert queue.done_chunks() == ["chunk_00000"]
-
-        # stacked, per-scenario, stacked chunks (the engine is not part
-        # of a scenario's digest, so the chunks keep their members)
-        middle = {item["index"] for item in json.loads(
-            (queue.pending_dir / "chunk_00001.json").read_text())["scenarios"]}
-        batch = [s if i in middle else s.replace(engine="batch")
-                 for i, s in enumerate(small_batch())]
-        queue = WorkQueue.create(tmp_path / "mixed", batch, chunk_size=2)
-        worker = make_worker(queue, "a", FakeClock())
-        assert worker.step() == "ran"
-        assert queue.done_chunks() == ["chunk_00000", "chunk_00001"]
-        assert worker.step() == "ran"
-        assert worker.step() == "drained"
-
-        monkeypatch.setenv("REPRO_ENGINE", "batch")
-        queue = WorkQueue.create(tmp_path / "env", small_batch(),
-                                 chunk_size=2)
-        worker = make_worker(queue, "a", FakeClock())
-        assert worker.step() == "ran"
-        assert queue.is_drained()
-
-    def test_crash_midhold_leaves_every_claim_stale(self, tmp_path):
-        """A worker dies after one scenario of a three-chunk hold: all
-        three claims go stale, a rescuer requeues and reruns them, and
-        the collected batch equals the serial run with exactly accounted
-        hits/misses."""
-        batch = small_batch(engine="batch")
-        serial = run_batch(batch, cache="off")
-        queue = WorkQueue.create(tmp_path / "q", batch, chunk_size=2)
-        clock = FakeClock()
-        cache_dir = tmp_path / "cache"
-        crasher = make_worker(queue, "crasher", clock, cache_dir=cache_dir,
-                              crash_after=1)
-        with pytest.raises(WorkerCrash):
-            crasher.step()
-        assert list(queue.results_dir.iterdir()) == []
-        assert claimed(queue) == ["chunk_00000.crasher.json",
-                                  "chunk_00001.crasher.json",
-                                  "chunk_00002.crasher.json"]
-
-        rescuer = make_worker(queue, "rescuer", clock, cache_dir=cache_dir,
-                              ttl=30)
-        clock.advance(31)
-        assert rescuer.run() == 3
-        merged = queue.collect()
-        assert list(merged) == list(serial)
-        assert [r.meta for r in merged] == [r.meta for r in serial]
-        stats = merged.cache_stats
-        n = len(batch)
-        assert (stats.hits, stats.misses, stats.stores) == (1, n - 1, n - 1)
-
-    def test_hold_above_the_stack_cap_drains(self, tmp_path, monkeypatch):
-        """A hold larger than ``MAX_CELLS`` runs as several stacks: with
-        the cap between one chunk and two, the one-step drain still
-        equals serial."""
+    def test_stacked_chunk_above_the_stack_cap_drains(self, tmp_path,
+                                                      monkeypatch):
+        """A stacked chunk larger than ``MAX_CELLS`` runs as several
+        stacks: with the cap between two scenarios and three, the one-step
+        drain of the one 6-scenario chunk still equals serial."""
         from repro.network import fast_batch_engine
 
         batch = small_batch(engine="batch")
         serial = run_batch(batch, cache="off")
         # a job is 16 requests on 12 nodes of dimension 1: 16 cells
         monkeypatch.setattr(fast_batch_engine, "MAX_CELLS", 40)
-        queue = WorkQueue.create(tmp_path / "q", batch, chunk_size=2)
+        stacks = []
+        run_stack = fast_batch_engine._run_stack
+
+        def counting(stack, engine):
+            stacks.append(len(stack))
+            return run_stack(stack, engine)
+
+        monkeypatch.setattr(fast_batch_engine, "_run_stack", counting)
+        queue = WorkQueue.create(tmp_path / "q", batch)
+        assert queue.header()["n_chunks"] == 1
         worker = make_worker(queue, "a", FakeClock())
         assert worker.step() == "ran"
         assert queue.is_drained()
+        assert stacks == [2, 2, 2]
         assert list(queue.collect()) == list(serial)
 
 
